@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import InputError, SearchExhausted
+from .errors import DomainError, InputError, SearchExhausted
 from .harness import Report, SuiteConfig, emit_report, run_suite, suite_table
 
 USAGE_ERROR = 2
@@ -106,6 +106,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except SearchExhausted as exc:
         print("search error: %s" % exc, file=sys.stderr)
+        return INTERNAL_ERROR
+    except (DomainError, AssertionError) as exc:
+        # a well-formed config that trips a precondition or an invariant
+        # inside a suite is a defect, not a failed property
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return INTERNAL_ERROR
     if args.report:
         try:

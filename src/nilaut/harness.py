@@ -188,6 +188,21 @@ class _Recorder:
         return all(c["passed"] for c in self.checks)
 
 
+def _check(cfg, rec, label, trials, trial_fn, name, statement, certificate=None):
+    """Record one check that runs trial_fn(rng, t) for t in range(trials).
+
+    Each trial draws its own generator from (seed, suite, label, t); the
+    first trial that returns a witness (not None) fails the check and ends
+    the loop.  The recorded trial count is the budget, not the trials run.
+    """
+    witness = None
+    for t in range(trials):
+        witness = trial_fn(_trial_rng(cfg.seed, cfg.suite, label, t), t)
+        if witness is not None:
+            break
+    rec.add(name, statement, witness is None, trials, witness=witness, certificate=certificate)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -198,9 +213,7 @@ def _suite_group_axioms(cfg, rec):
     s = cfg.nil_class
     one = ng.identity(ctx)
 
-    fails = []
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "axioms", t)
+    def axioms(rng, t):
         a, b, c = (random_element(ctx, rng) for _ in range(3))
         ok = (
             ng.multiply(ng.multiply(a, b), c) == ng.multiply(a, ng.multiply(b, c))
@@ -210,22 +223,18 @@ def _suite_group_axioms(cfg, rec):
             and ng.multiply(one, a) == a
         )
         if not ok:
-            fails.append({"trial": t, "a": a, "b": b, "c": c})
-            break
-    rec.add(
+            return {"trial": t, "a": a, "b": b, "c": c}
+
+    _check(
+        cfg, rec, "axioms", cfg.trials, axioms,
         "axioms",
         "associativity, two-sided inverses and identity hold exactly in collected coordinates",
-        not fails,
-        cfg.trials,
-        witness=fails[0] if fails else None,
     )
 
-    fails = []
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "filtration", t)
+    def filtration(rng, t):
         g, h = random_element(ctx, rng), random_element(ctx, rng)
         if g.is_identity() or h.is_identity():
-            continue
+            return None
         wg, wh = ng.weight(g), ng.weight(h)
         com = ng.commutator(g, h)
         ok = ng.weight(ng.multiply(g, h)) >= min(wg, wh)
@@ -236,74 +245,56 @@ def _suite_group_axioms(cfg, rec):
         z = random_element_of_weight(ctx, rng, s)
         ok = ok and ng.commutator(z, g) == one
         if not ok:
-            fails.append({"trial": t, "g": g, "h": h, "z": z})
-            break
-    rec.add(
+            return {"trial": t, "g": g, "h": h, "z": z}
+
+    _check(
+        cfg, rec, "filtration", cfg.trials, filtration,
         "filtration",
         "weights are subadditive, brackets add weights up to the class, and the top layer is central",
-        not fails,
-        cfg.trials,
-        witness=fails[0] if fails else None,
     )
 
     if s == 2:
-        fails = []
-        for t in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, cfg.suite, "class2", t)
+
+        def class2(rng, t):
             a, b = random_element(ctx, rng), random_element(ctx, rng)
             expected = list(x + y for x, y in zip(a.exponents, b.exponents))
             for idx in range(ctx.rank, ctx.dim):
                 k, j = ctx.basis[idx].shape
                 expected[idx] += a.exponents[k] * b.exponents[j]
             got = ng.multiply(a, b)
-            ok = got.exponents == tuple(expected) and got == ng._multiply_series(a, b)
-            if not ok:
-                fails.append({"trial": t, "a": a, "b": b})
-                break
-        rec.add(
+            if not (got.exponents == tuple(expected) and got == ng._multiply_series(a, b)):
+                return {"trial": t, "a": a, "b": b}
+
+        _check(
+            cfg, rec, "class2", cfg.trials, class2,
             "class2-closed-form",
             "the collection engine and the closed-form class-2 product rule agree bit for bit",
-            not fails,
-            cfg.trials,
-            witness=fails[0] if fails else None,
         )
 
-    fails = []
-    proj_trials = min(cfg.trials, 200)
-    for t in range(proj_trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "projection", t)
+    def projection(rng, t):
         a, b = random_element(ctx, rng), random_element(ctx, rng)
         for m in range(1, s + 1):
             lhs = ng.project_to_class(ng.multiply(a, b), m)
             rhs = ng.multiply(ng.project_to_class(a, m), ng.project_to_class(b, m))
             if lhs != rhs:
-                fails.append({"trial": t, "m": m, "a": a, "b": b})
-                break
-        if fails:
-            break
-    rec.add(
+                return {"trial": t, "m": m, "a": a, "b": b}
+
+    _check(
+        cfg, rec, "projection", min(cfg.trials, 200), projection,
         "projection-homomorphism",
         "truncation to each smaller class is a group homomorphism",
-        not fails,
-        proj_trials,
-        witness=fails[0] if fails else None,
     )
 
-    fails = []
-    word_trials = min(cfg.trials, 100)
-    for t in range(word_trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "collect", t)
+    def collect_homomorphism(rng, t):
         w1 = [(rng.randint(1, ctx.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))]
         w2 = [(rng.randint(1, ctx.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))]
         if collect(ctx, w1 + w2) != ng.multiply(collect(ctx, w1), collect(ctx, w2)):
-            fails.append({"trial": t, "w1": w1, "w2": w2})
-            break
-    rec.add(
+            return {"trial": t, "w1": w1, "w2": w2}
+
+    _check(
+        cfg, rec, "collect", min(cfg.trials, 100), collect_homomorphism,
         "collect-homomorphism",
         "word collection sends concatenation to the collected product",
-        not fails,
-        word_trials,
-        witness=fails[0] if fails else None,
     )
 
 
@@ -319,33 +310,28 @@ def _suite_lemma_22(cfg, rec):
     ctx = GroupContext.get(cfg.rank, cfg.nil_class)
     s = cfg.nil_class
     thetas = _theta_pool(cfg, ctx)
-    one = ng.identity(ctx)
     ident = identity_endomorphism(ctx)
 
     for m in range(1, s + 1):
-        fails = []
-        for t in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, cfg.suite, "layer-m%d" % m, t)
+
+        def layer(rng, t):
             theta = thetas[rng.randrange(len(thetas))]
             c = random_element_of_weight(ctx, rng, m)
             sign = -1 if m % 2 == 0 else 1
             residue = ng.multiply(apply(theta, c), ng.power(c, sign))
             if ng.weight(residue) < m + 1:
-                fails.append({"trial": t, "theta": theta, "c": c})
-                break
-        rec.add(
+                return {"trial": t, "theta": theta, "c": c}
+
+        _check(
+            cfg, rec, "layer-m%d" % m, cfg.trials, layer,
             "layer-parity-m%d" % m,
             "a symmetry fixes weight-%d elements modulo the next layer when %d is even and inverts them when odd"
             % (m, m),
-            not fails,
-            cfg.trials,
-            witness=fails[0] if fails else None,
         )
 
     for m in range(1, s + 1):
-        fails = []
-        for t in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, cfg.suite, "kernel-m%d" % m, t)
+
+        def kernel(rng, t):
             theta = thetas[rng.randrange(len(thetas))]
             gamma = random_k_member(ctx, rng, m)
             conj = compose(compose(theta, gamma), invert_automorphism(theta))
@@ -353,15 +339,13 @@ def _suite_lemma_22(cfg, rec):
             resid = compose(conj, tail)
             ok = in_K(resid, m + 1) if m + 1 <= s else resid == ident
             if not ok:
-                fails.append({"trial": t, "theta": theta, "gamma": gamma})
-                break
-        rec.add(
+                return {"trial": t, "theta": theta, "gamma": gamma}
+
+        _check(
+            cfg, rec, "kernel-m%d" % m, cfg.trials, kernel,
             "kernel-parity-m%d" % m,
             "conjugation by a symmetry fixes K_%d modulo K_%d when %d is even and inverts it when odd"
             % (m, m + 1, m),
-            not fails,
-            cfg.trials,
-            witness=fails[0] if fails else None,
         )
 
 
@@ -370,9 +354,8 @@ def _suite_lemma_21(cfg, rec):
     s = cfg.nil_class
     ident = identity_endomorphism(ctx)
     for m in (1, 2):
-        fails = []
-        for t in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, cfg.suite, "m%d" % m, t)
+
+        def commutes(rng, t):
             gamma = random_ia(ctx, rng)
             delta = random_k_member(ctx, rng, m)
             comm = compose(
@@ -381,15 +364,13 @@ def _suite_lemma_21(cfg, rec):
             )
             ok = in_K(comm, m + 1) if m + 1 <= s else comm == ident
             if not ok:
-                fails.append({"trial": t, "gamma": gamma, "delta": delta})
-                break
-        rec.add(
+                return {"trial": t, "gamma": gamma, "delta": delta}
+
+        _check(
+            cfg, rec, "m%d" % m, cfg.trials, commutes,
             "ia-commutes-k%d" % m,
             "commutators of abelianization-trivial automorphisms with K_%d members land in K_%d"
             % (m, m + 1),
-            not fails,
-            cfg.trials,
-            witness=fails[0] if fails else None,
         )
 
 
@@ -556,9 +537,7 @@ def _suite_eq2(cfg, rec):
         witness=fails[0] if fails else None,
     )
 
-    fails = []
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "roundtrip", t)
+    def roundtrip(rng, t):
         rep = DIAG_REP if rng.random() < 0.5 else SWAP_REP
         q = random_unimodular(rng, 2)
         mat = q @ rep @ q.inverse_unimodular()
@@ -568,14 +547,12 @@ def _suite_eq2(cfg, rec):
             cls is InvolutionClass.DIAGONAL if rep is DIAG_REP else cls is InvolutionClass.SWAP
         )
         if not ok:
-            fails.append({"trial": t, "matrix": mat})
-            break
-    rec.add(
+            return {"trial": t, "matrix": mat}
+
+    _check(
+        cfg, rec, "roundtrip", cfg.trials, roundtrip,
         "classification-roundtrip",
         "classifying a conjugated representative returns its class and a conjugator that reproduces the input exactly",
-        not fails,
-        cfg.trials,
-        witness=fails[0] if fails else None,
     )
 
 
@@ -590,10 +567,9 @@ def _sample_noncentral_nontriangular(rng):
 
 
 def _suite_xy_linearity(cfg, rec):
-    fails = []
     entry_stats = {"X": [0] * 4, "Y": [0] * 4}
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "linearity", t)
+
+    def linearity(rng, t):
         s = _sample_noncentral_nontriangular(rng)
         parity = "even" if rng.random() < 0.5 else "odd"
         for mode_idx, mode in enumerate(("X", "Y")):
@@ -602,59 +578,46 @@ def _suite_xy_linearity(cfg, rec):
             second = tracked[2] - 2 * tracked[1] + tracked[0]
             first = tracked[1] - tracked[0]
             if second != 0 or first == 0:
-                fails.append({"trial": t, "mode": mode, "matrix": s, "parity": parity})
-                break
+                return {"trial": t, "mode": mode, "matrix": s, "parity": parity}
             for pos in range(4):
                 i, j = divmod(pos, 2)
                 seq = [v.rows[i][j] for v in vals]
                 if seq[2] - 2 * seq[1] + seq[0] == 0 and seq[1] != seq[0]:
                     entry_stats[mode][pos] += 1
-        if fails:
-            break
-    rec.add(
+
+    _check(
+        cfg, rec, "linearity", cfg.trials, linearity,
         "tracked-entry-linear",
         "the upper-right entry of both parametrized products is linear and non-constant over consecutive parameters",
-        not fails,
-        cfg.trials,
-        witness=fails[0] if fails else None,
         certificate={"linear_entry_counts_row_major": entry_stats},
     )
 
 
 def _suite_walk(cfg, rec):
-    fails = []
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "seed", t)
+    def walk(rng, t):
         s0 = _sample_noncentral(rng)
         try:
             mats, recs = noncentral_walk_certificate(s0, 50, m_range=cfg.m_range)
         except SearchExhausted as exc:
-            fails.append({"trial": t, "seed_matrix": s0, "error": str(exc)})
-            break
+            return {"trial": t, "seed_matrix": s0, "error": str(exc)}
         if any(m.is_central() for m in mats):
-            fails.append({"trial": t, "seed_matrix": s0})
-            break
+            return {"trial": t, "seed_matrix": s0}
         if t < 10:
             exact_mats, exact_recs = noncentral_sigma_walk(s0, 8, m_range=cfg.m_range)
             for em, er, cm, cr in zip(exact_mats, exact_recs, mats, recs):
                 if (er.m, er.orientation, er.mode) != (cr.m, cr.orientation, cr.mode):
-                    fails.append({"trial": t, "seed_matrix": s0, "mismatch": "choices"})
-                    break
+                    return {"trial": t, "seed_matrix": s0, "mismatch": "choices"}
                 if any(
                     e % glz.WALK_CERT_MODULUS != c
                     for erow, crow in zip(em.rows, cm.rows)
                     for e, c in zip(erow, crow)
                 ):
-                    fails.append({"trial": t, "seed_matrix": s0, "mismatch": "residues"})
-                    break
-            if fails:
-                break
-    rec.add(
+                    return {"trial": t, "seed_matrix": s0, "mismatch": "residues"}
+
+    _check(
+        cfg, rec, "seed", cfg.trials, walk,
         "noncentral-walks",
         "fifty-step recursion walks stay non-central: every term is certified by a non-central residue image, and exact prefixes agree",
-        not fails,
-        cfg.trials,
-        witness=fails[0] if fails else None,
         certificate={"steps": 50, "modulus_bits": glz.WALK_CERT_MODULUS.bit_length()},
     )
 
@@ -671,73 +634,59 @@ def _suite_one_step_down(cfg, rec):
     s = cfg.nil_class
     rng_sample = _trial_rng(cfg.seed, cfg.suite, "symmetry-sample")
     sample = symmetry_sample(ctx, rng_sample, conjugates=20, perturbed=10)
+    exact_only = [(l, th) for l, th in sample if l != "ia_perturbed"]
     expected = "t_plus" if (s - 1) % 2 == 0 else "t_minus"
 
-    fails = []
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "forward", t)
-        f = random_k_member(ctx, rng, s - 1, nontrivial=True) if s >= 2 else None
+    def forward(rng, t):
+        f = random_k_member(ctx, rng, s - 1, nontrivial=True)
         verdict = t_plus_minus_classify(f, sample)
         if verdict.tag != expected:
-            fails.append({"trial": t, "f": f, "tag": verdict.tag})
-            break
-        exact_only = [(l, th) for l, th in sample if l != "ia_perturbed"]
+            return {"trial": t, "f": f, "tag": verdict.tag}
         verdict2 = t_plus_minus_classify(f, exact_only)
         if verdict2.tag != expected:
-            fails.append({"trial": t, "f": f, "tag_exact_stratum": verdict2.tag})
-            break
-    rec.add(
+            return {"trial": t, "f": f, "tag_exact_stratum": verdict2.tag}
+
+    _check(
+        cfg, rec, "forward", cfg.trials, forward,
         "forward-containment",
         "every nontrivial member of the next-to-last kernel layer is fixed (class parity even) or inverted (odd) by all sampled symmetries modulo the trivial-abelianization factor, per stratum",
-        not fails,
-        cfg.trials,
-        witness=fails[0] if fails else None,
     )
 
-    fails = []
-    classified = 0
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "reverse", t)
+    reverse_stats = {"classified": 0}
+
+    def reverse(rng, t):
         if rng.random() < 0.5:
             f = random_automorphism(ctx, rng)
         else:
-            f = random_k_member(ctx, rng, rng.randint(1, s - 1) if s >= 2 else 1)
+            f = random_k_member(ctx, rng, rng.randint(1, s - 1))
         verdict = t_plus_minus_classify(f, sample)
         if verdict.tag in ("t_plus", "t_minus"):
-            classified += 1
-            if not in_K(f, s - 1 if s >= 2 else 1):
-                fails.append({"trial": t, "f": f, "tag": verdict.tag})
-                break
-    rec.add(
+            reverse_stats["classified"] += 1
+            if not in_K(f, s - 1):
+                return {"trial": t, "f": f, "tag": verdict.tag}
+
+    _check(
+        cfg, rec, "reverse", cfg.trials, reverse,
         "reverse-containment",
         "every sampled automorphism classified as commuting or inverting lies in the next-to-last kernel layer",
-        not fails,
-        cfg.trials,
-        witness=fails[0] if fails else None,
-        certificate={"classified": classified},
+        certificate=reverse_stats,
     )
 
-    fails = []
-    pair_trials = min(cfg.trials, 50)
-    for t in range(pair_trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "pairs", t)
+    def pairs(rng, t):
         f = random_k_member(ctx, rng, s - 1, nontrivial=True)
         verdict = t_plus_minus_classify(f, sample)
         if verdict.tag not in ("t_plus", "t_minus"):
-            fails.append({"trial": t, "f": f, "tag": verdict.tag})
-            break
+            return {"trial": t, "f": f, "tag": verdict.tag}
         _, t1 = sample[rng.randrange(len(sample))]
         _, t2 = sample[rng.randrange(len(sample))]
         prod = compose(t1, t2)
         if compose(compose(prod, f), invert_automorphism(prod)) != f:
-            fails.append({"trial": t, "f": f})
-            break
-    rec.add(
+            return {"trial": t, "f": f}
+
+    _check(
+        cfg, rec, "pairs", min(cfg.trials, 50), pairs,
         "two-symmetry-products-commute",
         "products of two sampled symmetries commute exactly with next-to-last layer members",
-        not fails,
-        pair_trials,
-        witness=fails[0] if fails else None,
     )
 
     fails = []
@@ -898,42 +847,34 @@ def _suite_endo_graph(cfg, rec):
     b = Sublattice(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     c = Sublattice(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
     iota = IntMatrix.identity(2)
-    fails = []
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "roundtrip", t)
+
+    def roundtrip(rng, t):
         alpha = IntMatrix([[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)])
         graph = encode_endomorphism_as_summand(alpha, b, c, iota)
         ok = relation_R(graph, c)
         ok = ok and decode_summand_to_endomorphism(graph, b, c, iota) == alpha
         if not ok:
-            fails.append({"trial": t, "alpha": alpha})
-            break
-    rec.add(
+            return {"trial": t, "alpha": alpha}
+
+    _check(
+        cfg, rec, "roundtrip", cfg.trials, roundtrip,
         "graph-roundtrip",
         "the graph of an endomorphism is always complementary to the reference summand and decodes back to the same matrix",
-        not fails,
-        cfg.trials,
-        witness=fails[0] if fails else None,
     )
 
-    fails = []
-    comp_trials = min(cfg.trials, 50)
-    for t in range(comp_trials):
-        rng = _trial_rng(cfg.seed, cfg.suite, "compose", t)
+    def composition(rng, t):
         a1 = IntMatrix([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
         a2 = IntMatrix([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
         g1 = encode_endomorphism_as_summand(a1, b, c, iota)
         g2 = encode_endomorphism_as_summand(a2, b, c, iota)
         composed = semantic_graph_compose(g1, g2, b, c, iota)
         if decode_summand_to_endomorphism(composed, b, c, iota) != a1 @ a2:
-            fails.append({"trial": t, "a1": a1, "a2": a2})
-            break
-    rec.add(
+            return {"trial": t, "a1": a1, "a2": a2}
+
+    _check(
+        cfg, rec, "compose", min(cfg.trials, 50), composition,
         "graph-composition",
         "composing two graphs through the summand relations matches the matrix product of the decoded maps",
-        not fails,
-        comp_trials,
-        witness=fails[0] if fails else None,
     )
 
 

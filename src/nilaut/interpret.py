@@ -265,15 +265,6 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
             out = tuple(mat @ v)
             if out in index:
                 action.append((mi, vi, index[out]))
-    # spot re-verification of the stored tuples
-    for vi, si in membership:
-        assert summands[si].contains(vectors[vi])
-    for i, j in inclusion:
-        assert summands[i].is_subset(summands[j])
-    for i, j in complement_pairs:
-        assert relation_R(summands[i], summands[j])
-    for mi, vi, ri in action:
-        assert tuple(auts[mi] @ vectors[vi]) == vectors[ri]
     return StructureM(
         rank=n,
         vectors=vectors,

@@ -14,12 +14,11 @@ Conventions, fixed once and used by every module in this package:
     N_m exactly when its exponents vanish on all basis elements of weight
     less than m; the identity gets the sentinel weight s + 1
 
-Multiplication, inversion and powers are computed through an exact
-truncated-series embedding (generators map to 1 + X_i in the free
+Multiplication, inversion, powers and word collection are computed through
+an exact truncated-series embedding (generators map to 1 + X_i in the free
 associative ring over the X_i, truncated above degree s), which is faithful
-and keeps all arithmetic in integers.  Word collection (`collect`) runs the
-staged collect-from-the-left rewriting over basis letters; its pairwise
-correction table is produced by the same exact bracket arithmetic.
+and keeps all arithmetic in integers.  `collect` multiplies the series of
+the word's letters and reads the collected coordinates off the product.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ def _binom(e: int, k: int) -> int:
 
 
 class GroupContext:
-    """Rank, class, Hall basis and the precomputed collection machinery."""
+    """Rank, class, Hall basis and the precomputed truncated-series tables."""
 
     _cache: dict = {}
 
@@ -148,7 +147,6 @@ class GroupContext:
             lo, hi = self._weight_ranges[w]
             cols = [self._lie_poly(i) for i in range(lo, hi)]
             self._solvers[w] = _left_inverse(cols, self._deg_sizes[w])
-        self._commtab = {}
         self._gen_letter_words = [None] * self.dim
         self._light_start = self.dim
         for b in self.basis:
@@ -613,89 +611,6 @@ class FreeWord:
         return FreeWord(self.letters + other.letters)
 
 
-def _comm_runs(ctx, u, ue, v, ve):
-    """Correction word for swapping b_u^ue leftwards past b_v^ve.
-
-    Returns the collected runs of [b_u^ue, b_v^ve]; every run has weight at
-    least weight(u) + weight(v), so staged collection only ever pushes
-    corrections into later stages.
-    """
-    key = (u, ue, v, ve)
-    hit = ctx._commtab.get(key)
-    if hit is None:
-        a = _coord_factor(ctx, u, ue)
-        b = _coord_factor(ctx, v, ve)
-        ser = _series_comm(ctx, a, b)
-        exps = _series_to_coords(ctx, ser)
-        hit = tuple((i, e) for i, e in enumerate(exps) if e)
-        ctx._commtab[key] = hit
-    return hit
-
-
-def _collect_letters(ctx, letters):
-    """Staged collect-from-the-left over 0-based basis letter runs.
-
-    Stage i moves every run of basis letter i to the front, one adjacent
-    swap at a time; each swap u^a . i^e -> i^e . u^a . [u^a, i^e]
-    re-expresses the correction in basic commutators of strictly larger
-    weight, and weight > s corrections vanish, so the process terminates.
-    """
-    work = []
-    for idx, e in letters:
-        if not e:
-            continue
-        if work and work[-1][0] == idx:
-            merged = work[-1][1] + e
-            if merged:
-                work[-1] = (idx, merged)
-            else:
-                work.pop()
-        else:
-            work.append((idx, e))
-    exps = [0] * ctx.dim
-    s = ctx.nilpotency_class
-    weights = [b.weight for b in ctx.basis]
-    for stage in range(ctx.dim):
-        if not work:
-            break
-        w_stage = weights[stage]
-        total = 0
-        prefix = []
-
-        def push(idx, e):
-            if not e:
-                return
-            if prefix and prefix[-1][0] == idx:
-                merged = prefix[-1][1] + e
-                if merged:
-                    prefix[-1] = (idx, merged)
-                else:
-                    prefix.pop()
-            else:
-                prefix.append((idx, e))
-
-        for u, e in work:
-            if u != stage:
-                push(u, e)
-                continue
-            total += e
-            # the run moves left past every prefix run; corrections of
-            # weight above s vanish, which the weight test short-circuits
-            if prefix:
-                old = prefix
-                prefix = []
-                for pu, pe in old:
-                    push(pu, pe)
-                    if weights[pu] + w_stage <= s:
-                        for ci, ce in _comm_runs(ctx, pu, pe, stage, e):
-                            push(ci, ce)
-        exps[stage] = total
-        work = prefix
-    if work:
-        raise AssertionError("collection left uncollected letters")
-    return tuple(exps)
-
-
 def collect(ctx: GroupContext, word) -> GroupElement:
     """Collected normal form of a word in the free generators.
 
@@ -703,18 +618,15 @@ def collect(ctx: GroupContext, word) -> GroupElement:
     1-based indices and signs in {+1, -1}.  Concatenation of words maps to
     multiplication of the collected elements.
     """
-    if isinstance(word, FreeWord):
-        pairs = word.letters
-    else:
-        pairs = tuple(word)
-    letters = []
+    pairs = word.letters if isinstance(word, FreeWord) else word
+    ser = _unit_series(ctx)
     for i, s in pairs:
         if not 1 <= i <= ctx.rank:
             raise InputError("generator index %r out of range 1..%d" % (i, ctx.rank))
         if s not in (1, -1):
             raise InputError("letter sign must be +1 or -1, got %r" % (s,))
-        letters.append((i - 1, s))
-    return GroupElement(ctx, _collect_letters(ctx, letters))
+        ser = _series_mul(ctx, ser, _coord_factor(ctx, i - 1, s))
+    return GroupElement(ctx, _series_to_coords(ctx, ser))
 
 
 def _basis_letter_word(ctx, index):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nilaut import cli
-from nilaut.errors import SearchExhausted
+from nilaut.errors import DomainError, SearchExhausted
 from nilaut.harness import Report, SUITE_NAMES
 
 
@@ -97,3 +97,12 @@ def test_failure_and_search_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", boom)
     assert cli.main(["verify", "--suite", "ring-Z"]) == 3
     assert "search error" in capsys.readouterr().err
+
+    for exc in (DomainError("not an automorphism"), AssertionError("broken invariant")):
+
+        def internal(cfg, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_suite", internal)
+        assert cli.main(["verify", "--suite", "ring-Z"]) == 3
+        assert "internal error" in capsys.readouterr().err

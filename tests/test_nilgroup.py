@@ -76,6 +76,16 @@ def test_collect_examples():
     assert collect(CTX22, [(1, 1), (2, 1)]).exponents == (1, 1, 0)
     assert collect(CTX22, [(2, 1), (1, 1)]).exponents == (1, 1, 1)
     assert collect(CTX22, [(1, 1), (1, -1)]).exponents == (0, 0, 0)
+    # class >= 3 values, as computed by staged collect-from-the-left rewriting
+    assert collect(CTX23, [(2, 1), (1, 1), (1, 1)]).exponents == (2, 1, 2, 1, 0)
+    assert collect(CTX23, [(2, -1), (1, 1), (2, 1), (1, -1)]).exponents == (0, 0, -1, 1, 0)
+    assert collect(CTX33, [(3, 1), (2, -1), (1, 1), (3, -1)]).exponents == (
+        1, -1, 0, -1, 1, -1, 0, 1, 1, 0, -1, -1, 1, 1,
+    )
+    ctx24 = GroupContext.get(2, 4)
+    assert collect(ctx24, [(2, 1), (2, 1), (1, -1), (2, -1), (1, 1)]).exponents == (
+        0, 1, -1, 0, 1, 0, 0, -1,
+    )
     with pytest.raises(InputError):
         collect(CTX22, [(3, 1)])
     with pytest.raises(InputError):
