@@ -167,14 +167,7 @@ def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     """(f o g)(x) = f(g(x)); the abelianized matrix is the product."""
     if f.context != g.context:
         raise InputError("context mismatch in composition")
-    out = Endomorphism(f.context, tuple(apply(f, img) for img in g.images))
-    if f._inverse is not None and g._inverse is not None:
-        inv = Endomorphism(
-            f.context, tuple(apply(g._inverse, img) for img in f._inverse.images)
-        )
-        out._inverse = inv
-        inv._inverse = out
-    return out
+    return Endomorphism(f.context, tuple(apply(f, img) for img in g.images))
 
 
 def abelianization_matrix(f: Endomorphism) -> IntMatrix:
@@ -236,6 +229,10 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     Start from the lift of the inverse abelianized matrix; each round
     multiplies by an approximate inverse of the residual, which at least
     doubles its filtration depth, so at most s rounds are needed.
+
+    This is the only writer of the inverse cache: the result is cached on
+    f and f is cached on the result, so inverting either one again is a
+    lookup.
     """
     if f._inverse is not None:
         return f._inverse

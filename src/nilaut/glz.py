@@ -641,7 +641,6 @@ def noncentral_successor(
     mode: str,
     parity: str,
     m_range=(-5, 5),
-    orientations=("lower", "upper"),
 ) -> SuccessorRecord:
     """Smallest-|m| family member whose X- or Y-step output is non-central.
 
@@ -657,7 +656,7 @@ def noncentral_successor(
         raise DomainError("walk input must be non-central")
     sinv = s.inverse_unimodular()
     bound = max(abs(m_range[0]), abs(m_range[1]))
-    for orientation in orientations:
+    for orientation in ("lower", "upper"):
         for m in _search_order(bound):
             if not m_range[0] <= m <= m_range[1]:
                 continue
@@ -724,15 +723,14 @@ def noncentral_walk_certificate(
     steps: int,
     parity: str = "even",
     m_range=(-5, 5),
-    modulus: int = WALK_CERT_MODULUS,
 ):
     """Long-walk variant that carries entries modulo a fixed prime.
 
     Exact walk entries double in bit length at every step, so exact long
     trajectories cannot be materialized.  Residues under the reduction
-    Z -> Z/modulus certify non-centrality one-sidedly: a reduction of a
-    central matrix is central, hence every term whose residue matrix is
-    non-central is proven non-central.  Step choices follow the same
+    Z -> Z/WALK_CERT_MODULUS certify non-centrality one-sidedly: a
+    reduction of a central matrix is central, hence every term whose
+    residue matrix is non-central is proven non-central.  Step choices follow the same
     search order as noncentral_sigma_walk and the records have the same
     shape, with residue matrices in place of exact ones.
     """
@@ -745,7 +743,7 @@ def noncentral_walk_certificate(
         raise DomainError("walk seed must be non-central")
     if parity not in ("even", "odd"):
         raise InputError("parity must be 'even' or 'odd'")
-    p = modulus
+    p = WALK_CERT_MODULUS
     cur = tuple(tuple(x % p for x in row) for row in s0.rows)
     bound = max(abs(m_range[0]), abs(m_range[1]))
     mats = []

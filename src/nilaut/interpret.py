@@ -132,11 +132,6 @@ def t_plus_minus_classify(f: Endomorphism, symmetry_sample) -> TClassification:
         return TClassification("t_plus", by_stratum=stratum)
     if all_minus:
         return TClassification("t_minus", by_stratum=stratum)
-    # mixed outcome: exact violation exhibited by whichever member broke
-    for label, theta in sample:
-        conj = compose(compose(theta, f), invert_automorphism(theta))
-        if conj != f and conj != finv:
-            return TClassification("neither", label, theta, stratum)
     return TClassification("neither", by_stratum=stratum)
 
 
@@ -281,10 +276,6 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
 # ---------------------------------------------------------------------------
 # endomorphisms of a summand as graph summands
 # ---------------------------------------------------------------------------
-
-
-def _as_rows(mat: IntMatrix):
-    return [list(r) for r in mat.rows]
 
 
 def encode_endomorphism_as_summand(

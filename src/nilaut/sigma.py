@@ -89,7 +89,6 @@ def _check_involution(theta: Endomorphism) -> None:
         raise DomainError("the identity is excluded; an involution has order two")
     if compose(theta, theta) != ident:
         raise DomainError("automorphism does not square to the identity")
-    theta._inverse = theta
 
 
 def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
@@ -106,19 +105,11 @@ def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
             raise DomainError("recursion inputs must be automorphisms")
     terms = [sigma]
     cur = sigma
-    cur_inv = None
     for m in range(length):
         phi = phis[m]
-        if m % 2 == 0:
-            if cur_inv is None:
-                cur_inv = invert_automorphism(cur)
-            tail = cur_inv
-        else:
-            tail = cur
-        nxt = compose(compose(compose(phi, cur), phi), tail)
-        terms.append(nxt)
-        cur = nxt
-        cur_inv = cur._inverse  # populated when composition could propagate it
+        tail = invert_automorphism(cur) if m % 2 == 0 else cur
+        cur = compose(compose(compose(phi, cur), phi), tail)
+        terms.append(cur)
     return SigmaTrace(terms, [k_depth(t) for t in terms])
 
 
@@ -154,9 +145,7 @@ def necessity_check(theta: Endomorphism, sigma: Endomorphism, conjugators) -> Ne
         ok, _ = is_automorphism(c)
         if not ok:
             raise DomainError("conjugators must be automorphisms")
-        t = compose(compose(c, theta), invert_automorphism(c))
-        t._inverse = t
-        phis.append(t)
+        phis.append(compose(compose(c, theta), invert_automorphism(c)))
     trace = sigma_sequence(sigma, phis, s)
     violations = []
     for m in range(1, s + 1):
@@ -213,7 +202,6 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     thetas = []
     conjugators = []
     p_s0_inv = p_s0.inverse_unimodular()
-    theta_inv = invert_automorphism(theta)
     for rec in walk_recs:
         t_i = _family_matrix(rec.parity, rec.m, rec.orientation)
         cls_i, p_i = classify_involution2(t_i)
@@ -221,9 +209,7 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
         q_i = p_i @ p_s0_inv
         rho = lift_matrix(ctx, frame @ _embed_block(q_i, n) @ frame_inv)
         conjugators.append(rho)
-        t_full = compose(compose(rho, theta), invert_automorphism(rho))
-        t_full._inverse = t_full
-        thetas.append(t_full)
+        thetas.append(compose(compose(rho, theta), invert_automorphism(rho)))
     trace = sigma_sequence(sigma, thetas, s)
     final_ab = abelianization_matrix(trace.terms[s])
     expected = frame @ _embed_block(walk_mats[-1], n) @ frame_inv

@@ -114,3 +114,22 @@ def test_failing_check_records_witness():
     assert check["witness"] == {"matrix": [[1, 0], [0, 1]]}
     payload = Report({}, rec.checks, rec.passed, "0.0.0").to_canonical_json()
     assert json.loads(payload)["checks"][0]["witness"]["matrix"] == [[1, 0], [0, 1]]
+
+
+def test_check_records_trials_run():
+    from nilaut.harness import _Recorder, _check
+
+    cfg = SuiteConfig("eq-2", trials=30).normalized()
+    seen = []
+
+    def trial_fn(rng, t):
+        seen.append(t)
+        return {"trial": t} if t == 1 else None
+
+    rec = _Recorder()
+    _check(cfg, rec, "demo", 30, trial_fn, "demo", "statement")
+    assert seen == [0, 1]
+    assert rec.checks[0]["trials"] == 2
+    assert rec.checks[0]["witness"] == {"trial": 1}
+    _check(cfg, rec, "demo", 30, lambda rng, t: None, "demo", "statement")
+    assert rec.checks[1]["passed"] and rec.checks[1]["trials"] == 30

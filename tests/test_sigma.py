@@ -60,6 +60,17 @@ def test_sigma_sequence_matrix_shadow():
     for term, mat in zip(trace.terms, mats):
         assert abelianization_matrix(term) == mat
 
+    # class 3, length 3: step m = 2 inverts a term built by the recursion
+    sigma = lift_matrix(CTX23, SHEAR)
+    phis = [lift_matrix(CTX23, m) for m in (DIAG, SWAP, DIAG)]
+    trace = sigma_sequence(sigma, phis, 3)
+    mats = matrix_sigma_sequence(SHEAR, [DIAG, SWAP, DIAG], 3)
+    assert len(trace.terms) == len(mats) == 4
+    for term, mat in zip(trace.terms, mats):
+        assert abelianization_matrix(term) == mat
+    t2, t3 = trace.terms[2], trace.terms[3]
+    assert compose(t3, t2) == compose(compose(phis[2], t2), phis[2])
+
 
 def test_sigma_sequence_validation():
     sigma = lift_matrix(CTX22, SHEAR)
