@@ -20,9 +20,8 @@ from .glz import IntMatrix
 from .nilgroup import (
     GroupContext,
     GroupElement,
+    _from_series,
     _series_mul,
-    _series_of_coords,
-    _series_to_coords,
     _zero_series,
     format_element,
     invert,
@@ -62,7 +61,7 @@ class AutomorphismCertificate:
 class Endomorphism:
     """Map of generators to group elements, extended by freeness."""
 
-    __slots__ = ("context", "images", "_letter_series", "_mon_images", "_inverse")
+    __slots__ = ("context", "images", "_mon_images", "_inverse")
 
     def __init__(self, context: GroupContext, images):
         images = tuple(images)
@@ -75,34 +74,22 @@ class Endomorphism:
                 raise InputError("generator image in the wrong context")
         self.context = context
         self.images = images
-        self._letter_series = None
-        self._mon_images = None
+        self._mon_images = {}
         self._inverse = None
 
-    def _letters(self):
-        # series of (image of x_j) - 1, the substitution targets
-        if self._letter_series is None:
-            out = []
-            for img in self.images:
-                ser = [list(blk) for blk in _series_of_coords(self.context, img.exponents)]
-                ser[0][0] -= 1
-                out.append(ser)
-            self._letter_series = out
-        return self._letter_series
-
     def _monomial_image(self, deg, idx):
-        if self._mon_images is None:
-            self._mon_images = {}
+        # image of a degree-deg monomial in the X_i; at degree 1 it is the
+        # series of the generator's image minus 1, the substitution target
         key = (deg, idx)
         hit = self._mon_images.get(key)
         if hit is None:
             ctx = self.context
-            letters = self._letters()
             if deg == 1:
-                hit = letters[idx]
+                hit = [list(blk) for blk in self.images[idx]._magnus()]
+                hit[0][0] -= 1
             else:
                 parent = self._monomial_image(deg - 1, idx // ctx.rank)
-                hit = _series_mul(ctx, parent, letters[idx % ctx.rank])
+                hit = _series_mul(ctx, parent, self._monomial_image(1, idx % ctx.rank))
             self._mon_images[key] = hit
         return hit
 
@@ -160,7 +147,7 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
                     for i, v in enumerate(img[dd]):
                         if v:
                             ob[i] += c * v
-    return GroupElement(ctx, _series_to_coords(ctx, out))
+    return _from_series(ctx, out)
 
 
 def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:

@@ -234,8 +234,6 @@ def _suite_group_axioms(cfg, rec):
 
     def filtration(rng, t):
         g, h = random_element(ctx, rng), random_element(ctx, rng)
-        if g.is_identity() or h.is_identity():
-            return None
         wg, wh = ng.weight(g), ng.weight(h)
         com = ng.commutator(g, h)
         ok = ng.weight(ng.multiply(g, h)) >= min(wg, wh)
@@ -631,7 +629,6 @@ def _suite_one_step_down(cfg, rec):
     s = cfg.nil_class
     rng_sample = _trial_rng(cfg.seed, cfg.suite, "symmetry-sample")
     sample = symmetry_sample(ctx, rng_sample, conjugates=20, perturbed=10)
-    exact_only = [(l, th) for l, th in sample if l != "ia_perturbed"]
     expected = "t_plus" if (s - 1) % 2 == 0 else "t_minus"
 
     def forward(rng, t):
@@ -639,9 +636,6 @@ def _suite_one_step_down(cfg, rec):
         verdict = t_plus_minus_classify(f, sample)
         if verdict.tag != expected:
             return {"trial": t, "f": f, "tag": verdict.tag}
-        verdict2 = t_plus_minus_classify(f, exact_only)
-        if verdict2.tag != expected:
-            return {"trial": t, "f": f, "tag_exact_stratum": verdict2.tag}
 
     _check(
         cfg, rec, "forward", cfg.trials, forward,

@@ -19,6 +19,9 @@ an exact truncated-series embedding (generators map to 1 + X_i in the free
 associative ring over the X_i, truncated above degree s), which is faithful
 and keeps all arithmetic in integers.  `collect` multiplies the series of
 the word's letters and reads the collected coordinates off the product.
+Every result keeps the series its coordinates were read from, so a chain
+of operations converts coordinates to a series only for its inputs;
+`_from_series` is the one place a series becomes an element.
 """
 
 from __future__ import annotations
@@ -444,7 +447,13 @@ def _series_to_coords(ctx, ser):
 
 
 class GroupElement:
-    """A group element in collected normal form over the Hall basis."""
+    """A group element in collected normal form over the Hall basis.
+
+    Equality and hashing use the exponents.  The element's series is built
+    from the exponents at first use, unless the element is the result of an
+    operation, which keeps the series it read its coordinates from.  A
+    stored series is shared and never mutated in place.
+    """
 
     __slots__ = ("context", "exponents", "_series")
 
@@ -479,6 +488,14 @@ class GroupElement:
 
     def __repr__(self):
         return "<%s>" % format_element(self)
+
+
+def _from_series(ctx: GroupContext, ser) -> GroupElement:
+    # the only place a series becomes an element: read the coordinates once
+    # and keep the series, so later operations on the result reuse it
+    g = GroupElement(ctx, _series_to_coords(ctx, ser))
+    g._series = ser
+    return g
 
 
 def identity(ctx: GroupContext) -> GroupElement:
@@ -533,8 +550,7 @@ def _multiply_class2(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def _multiply_series(g: GroupElement, h: GroupElement) -> GroupElement:
     ctx = g.context
-    ser = _series_mul(ctx, g._magnus(), h._magnus())
-    return GroupElement(ctx, _series_to_coords(ctx, ser))
+    return _from_series(ctx, _series_mul(ctx, g._magnus(), h._magnus()))
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -547,22 +563,19 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def invert(g: GroupElement) -> GroupElement:
     ctx = g.context
-    ser = _series_unit_inv(ctx, g._magnus())
-    return GroupElement(ctx, _series_to_coords(ctx, ser))
+    return _from_series(ctx, _series_unit_inv(ctx, g._magnus()))
 
 
 def power(g: GroupElement, k: int) -> GroupElement:
     """k-th power for any integer k, exact and independent of |k|."""
     ctx = g.context
-    ser = _series_unit_power(ctx, g._magnus(), int(k))
-    return GroupElement(ctx, _series_to_coords(ctx, ser))
+    return _from_series(ctx, _series_unit_power(ctx, g._magnus(), int(k)))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     """[g, h] = g^-1 h^-1 g h."""
     ctx = _same_context(g, h)
-    ser = _series_comm(ctx, g._magnus(), h._magnus())
-    return GroupElement(ctx, _series_to_coords(ctx, ser))
+    return _from_series(ctx, _series_comm(ctx, g._magnus(), h._magnus()))
 
 
 def weight(g: GroupElement) -> int:
@@ -620,13 +633,17 @@ def collect(ctx: GroupContext, word) -> GroupElement:
     """
     pairs = word.letters if isinstance(word, FreeWord) else word
     ser = _unit_series(ctx)
+    factors = {}
     for i, s in pairs:
-        if not 1 <= i <= ctx.rank:
-            raise InputError("generator index %r out of range 1..%d" % (i, ctx.rank))
-        if s not in (1, -1):
-            raise InputError("letter sign must be +1 or -1, got %r" % (s,))
-        ser = _series_mul(ctx, ser, _coord_factor(ctx, i - 1, s))
-    return GroupElement(ctx, _series_to_coords(ctx, ser))
+        f = factors.get((i, s))
+        if f is None:
+            if not 1 <= i <= ctx.rank:
+                raise InputError("generator index %r out of range 1..%d" % (i, ctx.rank))
+            if s not in (1, -1):
+                raise InputError("letter sign must be +1 or -1, got %r" % (s,))
+            f = factors[i, s] = _coord_factor(ctx, i - 1, s)
+        ser = _series_mul(ctx, ser, f)
+    return _from_series(ctx, ser)
 
 
 def _basis_letter_word(ctx, index):

@@ -37,7 +37,6 @@ from .glz import (
     invariant_splitting,
     noncentral_sigma_walk,
 )
-from .sampling import random_automorphism
 
 __all__ = [
     "SigmaTrace",
@@ -225,41 +224,23 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     )
 
 
-def is_symmetry_mod_IA(
-    theta: Endomorphism,
-    rng,
-    sigma_samples: int = 8,
-    m_range=(-5, 5),
-) -> MembershipVerdict:
-    """Decide membership in the symmetry-mod-IA family, sampled one-sidedly.
+def is_symmetry_mod_IA(theta: Endomorphism, m_range=(-5, 5)) -> MembershipVerdict:
+    """Decide exactly whether an involution is a symmetry times an IA factor.
 
-    A rejection is exact: it carries either a constructed witness or a
-    sampled recursion instance that fails the descent.  Acceptance means
-    the witness search exhausted and every sampled instance descended; the
-    certificate records the sampling effort and is not a proof.
+    Every symmetry abelianizes to minus the identity and IA automorphisms
+    to the identity, so theta is in the family exactly when its
+    abelianization is minus the identity.  The certificate records that
+    abelianization.  A rejection also carries the refutation instance of
+    `find_nontrivial_witness`, or None when its walk search over m_range
+    exhausts; the abelianization alone then certifies the rejection.
     """
     _check_involution(theta)
-    ctx = theta.context
-    witness = find_nontrivial_witness(theta, m_range)
-    if witness is not None:
-        return MembershipVerdict(False, witness, None)
-    for trial in range(sigma_samples):
-        sigma = random_automorphism(ctx, rng)
-        conjugators = [random_automorphism(ctx, rng) for _ in range(ctx.nilpotency_class)]
-        verdict = necessity_check(theta, sigma, conjugators)
-        if not verdict.passed:
-            return MembershipVerdict(
-                False,
-                {"sigma": sigma, "conjugators": conjugators, "verdict": verdict},
-                None,
-            )
-    cert = {
-        "sigma_samples": sigma_samples,
-        "m_range": list(m_range),
-        "abelianization_is_minus_identity": abelianization_matrix(theta)
-        == -IntMatrix.identity(ctx.rank),
-    }
-    return MembershipVerdict(True, None, cert)
+    amat = abelianization_matrix(theta)
+    minus_identity = amat == -IntMatrix.identity(theta.context.rank)
+    cert = {"abelianization": amat, "abelianization_is_minus_identity": minus_identity}
+    if minus_identity:
+        return MembershipVerdict(True, None, cert)
+    return MembershipVerdict(False, find_nontrivial_witness(theta, m_range), cert)
 
 
 def trace_to_json(trace: SigmaTrace) -> dict:

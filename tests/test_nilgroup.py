@@ -172,6 +172,47 @@ def test_class2_closed_form_agreement():
             assert got == ng._multiply_series(a, b)
 
 
+@pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (2, 5)])
+def test_results_keep_their_series(n, s):
+    # every result of a series operation keeps the series its coordinates
+    # were read from; that series must equal the one the coordinates give,
+    # also after later operations have read it as an input
+    from nilaut.automorphisms import apply, compose
+    from nilaut.sampling import random_automorphism
+
+    ctx = GroupContext.get(n, s)
+    rng = random.Random(500 + 10 * n + s)
+    a, b = rand_elt(ctx, rng), rand_elt(ctx, rng)
+    word = [(rng.randint(1, n), rng.choice((1, -1))) for _ in range(12)]
+    f, g = random_automorphism(ctx, rng), random_automorphism(ctx, rng)
+    fg = compose(f, g)
+    kept = [
+        ng._multiply_series(a, b),
+        invert(a),
+        power(a, 3),
+        power(b, -2),
+        commutator(a, b),
+        collect(ctx, word),
+        apply(f, a),
+    ] + list(fg.images)
+    for r in kept:
+        assert r._series is not None
+    results = kept + [multiply(a, b)]
+
+    def check():
+        for r in results:
+            assert r._magnus() == ng._series_of_coords(ctx, r.exponents)
+
+    check()
+    acc = identity(ctx)
+    for r in list(results):
+        acc = multiply(acc, r)
+        results.extend([invert(r), power(r, 2), commutator(r, acc), apply(fg, r)])
+    results.append(acc)
+    results.extend(compose(fg, f).images)
+    check()
+
+
 def test_projection_is_homomorphism():
     for n, s in [(2, 3), (3, 3), (2, 2)]:
         ctx = GroupContext.get(n, s)

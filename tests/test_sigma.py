@@ -14,7 +14,7 @@ from nilaut.automorphisms import (
 from nilaut.errors import DomainError, InputError
 from nilaut.glz import IntMatrix
 from nilaut.nilgroup import GroupContext, generator
-from nilaut.sampling import random_automorphism, symmetry_sample
+from nilaut.sampling import ia_perturbed_symmetry, random_automorphism, symmetry_sample
 from nilaut.sigma import (
     find_nontrivial_witness,
     is_symmetry_mod_IA,
@@ -173,14 +173,17 @@ def test_no_witness_for_symmetries():
 
 def test_membership_verdicts():
     rng = random.Random(24)
-    verdict = is_symmetry_mod_IA(canonical_symmetry(CTX22), rng, sigma_samples=4)
+    verdict = is_symmetry_mod_IA(canonical_symmetry(CTX22))
     assert verdict.accepted
     assert verdict.certificate["abelianization_is_minus_identity"]
-    verdict = is_symmetry_mod_IA(lift_matrix(CTX22, DIAG), rng, sigma_samples=2)
+    verdict = is_symmetry_mod_IA(lift_matrix(CTX22, DIAG))
     assert not verdict.accepted
     assert verdict.witness is not None
+    verdict = is_symmetry_mod_IA(ia_perturbed_symmetry(CTX23, rng))
+    assert verdict.accepted
+    assert verdict.certificate["abelianization_is_minus_identity"]
     with pytest.raises(DomainError):
-        is_symmetry_mod_IA(identity_endomorphism(CTX22), rng)
+        is_symmetry_mod_IA(identity_endomorphism(CTX22))
 
 
 def test_abelianization_commutes_with_recursion():
