@@ -3,7 +3,7 @@ integer-matrix machinery behind them, with a seeded verification harness."""
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, InputError, SearchExhausted  # noqa: F401
+from .errors import DomainError, InputError, InternalError, SearchExhausted  # noqa: F401
 from .nilgroup import (  # noqa: F401
     FreeWord,
     GroupContext,

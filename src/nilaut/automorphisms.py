@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InternalError
 from .glz import IntMatrix
 from .nilgroup import (
     GroupContext,
@@ -37,6 +37,7 @@ __all__ = [
     "identity_endomorphism",
     "apply",
     "compose",
+    "conjugate",
     "abelianization_matrix",
     "is_automorphism",
     "invert_automorphism",
@@ -157,6 +158,11 @@ def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     return Endomorphism(f.context, tuple(apply(f, img) for img in g.images))
 
 
+def conjugate(c: Endomorphism, f: Endomorphism) -> Endomorphism:
+    """The conjugate c f c^-1 of f by the automorphism c."""
+    return compose(compose(c, f), invert_automorphism(c))
+
+
 def abelianization_matrix(f: Endomorphism) -> IntMatrix:
     """Column j is the abelianized image of x_j."""
     n = f.context.rank
@@ -243,8 +249,9 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
             images.append(multiply(gen, invert(_defect(rho, j))))
         h = compose(h, Endomorphism(ctx, images))
     else:
-        raise AssertionError("automorphism inversion failed to converge")
-    assert compose(h, f) == ident
+        raise InternalError("automorphism inversion failed to converge")
+    if compose(h, f) != ident:
+        raise InternalError("the computed inverse is only a right inverse")
     f._inverse = h
     h._inverse = f
     return h
@@ -277,7 +284,7 @@ def symmetry_from_automorphism(b: Endomorphism) -> Endomorphism:
     ok, _ = is_automorphism(b)
     if not ok:
         raise DomainError("a symmetry needs an automorphism carrying its basis")
-    return compose(compose(b, canonical_symmetry(b.context)), invert_automorphism(b))
+    return conjugate(b, canonical_symmetry(b.context))
 
 
 def lift_matrix(ctx: GroupContext, mat: IntMatrix) -> Endomorphism:

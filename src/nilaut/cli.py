@@ -109,7 +109,8 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
     except (DomainError, AssertionError) as exc:
         # a well-formed config that trips a precondition or an invariant
-        # inside a suite is a defect, not a failed property
+        # inside a suite is a defect, not a failed property; InternalError
+        # is an AssertionError, so this clause catches it too
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return INTERNAL_ERROR
     if args.report:

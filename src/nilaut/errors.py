@@ -7,6 +7,10 @@ DomainError: arguments are well-formed but violate a mathematical
 SearchExhausted: a bounded search that is expected to succeed ran out of
     budget; callers treat this as an internal/contradiction flag, not as
     a negative verdict.
+InternalError: an internal invariant failed; a defect of the package,
+    never a verdict.  It is raised explicitly, so unlike a bare `assert` it
+    survives `python -O`, and it subclasses AssertionError so callers that
+    catch assertion failures keep catching it.
 """
 
 
@@ -19,4 +23,8 @@ class DomainError(ValueError):
 
 
 class SearchExhausted(RuntimeError):
+    pass
+
+
+class InternalError(AssertionError):
     pass

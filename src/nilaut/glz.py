@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .errors import DomainError, InputError, SearchExhausted
+from .errors import DomainError, InputError, InternalError, SearchExhausted
 
 __all__ = [
     "IntMatrix",
@@ -147,28 +146,42 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse; requires det in {1, -1}."""
-        d = self.det()
+        """Exact inverse; requires det in {1, -1}.
+
+        Fraction-free (Bareiss) Gauss-Jordan on [A | I], in integers
+        throughout: after the step at column k the first k + 1 columns of
+        the left block are p_k times the identity, and every division by
+        the previous pivot is exact.  The last pivot is +-det, so the right
+        block is +-det times the inverse and divides exactly.
+        """
+        if not self.is_square:
+            raise InputError("inverse needs a square matrix")
+        n = self.nrows
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
+        sign = 1
+        prev = 1
+        for k in range(n):
+            if aug[k][k] == 0:
+                piv = next((r for r in range(k + 1, n) if aug[r][k]), None)
+                if piv is None:
+                    raise DomainError("matrix is not unimodular (det 0)")
+                aug[k], aug[piv] = aug[piv], aug[k]
+                sign = -sign
+            pivot_row = aug[k]
+            pk = pivot_row[k]
+            for i in range(n):
+                if i != k:
+                    f = aug[i][k]
+                    aug[i] = [(pk * a - f * b) // prev for a, b in zip(aug[i], pivot_row)]
+            prev = pk
+        d = sign * prev
         if d not in (1, -1):
             raise DomainError("matrix is not unimodular (det %d)" % d)
-        n = self.nrows
-        aug = [
-            [Fraction(self.rows[i][j]) for j in range(n)]
-            + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        out = [[x for x in row[n:]] for row in aug]
-        assert all(x.denominator == 1 for row in out for x in row)
-        return IntMatrix([[int(x) for x in row] for row in out])
+        # prev is +-1, so dividing by it is multiplying by it
+        inv = IntMatrix([[prev * x for x in row[n:]] for row in aug])
+        if self @ inv != IntMatrix.identity(n):
+            raise InternalError("fraction-free inverse does not invert its input")
+        return inv
 
     def power(self, k: int) -> "IntMatrix":
         if not self.is_square:

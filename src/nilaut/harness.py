@@ -44,6 +44,7 @@ from .automorphisms import (
     apply,
     canonical_symmetry,
     compose,
+    conjugate,
     endomorphism_to_json,
     identity_endomorphism,
     in_K,
@@ -61,9 +62,10 @@ from .sampling import (
     symmetry_sample,
 )
 from .sigma import (
+    check_involution,
+    descent_verdict,
     find_nontrivial_witness,
     matrix_sigma_sequence,
-    necessity_check,
 )
 from .interpret import (
     build_structure_M,
@@ -333,7 +335,7 @@ def _suite_lemma_22(cfg, rec):
         def kernel(rng, t):
             theta = thetas[rng.randrange(len(thetas))]
             gamma = random_k_member(ctx, rng, m)
-            conj = compose(compose(theta, gamma), invert_automorphism(theta))
+            conj = conjugate(theta, gamma)
             tail = gamma if m % 2 == 1 else invert_automorphism(gamma)
             resid = compose(conj, tail)
             ok = in_K(resid, m + 1) if m + 1 <= s else resid == ident
@@ -390,9 +392,23 @@ def _suite_proposition_sigma(cfg, rec):
     traces = 0
     pick = _trial_rng(cfg.seed, cfg.suite, "tuple-draws")
     for ti, theta in enumerate(thetas):
+        # the per-involution part of sigma.necessity_check, once per theta:
+        # the order-two check, and per pool index k the conjugate
+        # c_k theta c_k^-1 with its abelianized matrix, kept for this row only
+        check_involution(theta)
+        theta_mat = abelianization_matrix(theta)
+        phis = {}
         for si, sigma in enumerate(sigmas):
-            tup = [conj_pool[pick.randrange(len(conj_pool))] for _ in range(s)]
-            verdict = necessity_check(theta, sigma, tup)
+            draws = [pick.randrange(len(conj_pool)) for _ in range(s)]
+            for k in draws:
+                if k not in phis:
+                    c = conj_pool[k]
+                    c_mat = abelianization_matrix(c)
+                    phis[k] = (
+                        conjugate(c, theta),
+                        c_mat @ theta_mat @ c_mat.inverse_unimodular(),
+                    )
+            verdict = descent_verdict(sigma, [phis[k][0] for k in draws])
             traces += 1
             if not verdict.passed:
                 fails.append(
@@ -406,12 +422,7 @@ def _suite_proposition_sigma(cfg, rec):
                     }
                 )
                 break
-            phi_mats = [
-                abelianization_matrix(c)
-                @ abelianization_matrix(theta)
-                @ abelianization_matrix(c).inverse_unimodular()
-                for c in tup
-            ]
+            phi_mats = [phis[k][1] for k in draws]
             mats = matrix_sigma_sequence(abelianization_matrix(sigma), phi_mats, s)
             for term, mat in zip(verdict.trace.terms, mats):
                 if abelianization_matrix(term) != mat:
@@ -445,9 +456,7 @@ def _suite_proposition_sigma(cfg, rec):
             catalog = [lift_matrix(ctx, base)]
             for _ in range(10):
                 c = random_automorphism(ctx, rng_cat)
-                catalog.append(
-                    compose(compose(c, lift_matrix(ctx, base)), invert_automorphism(c))
-                )
+                catalog.append(conjugate(c, lift_matrix(ctx, base)))
             for i, theta in enumerate(catalog):
                 count += 1
                 wit = find_nontrivial_witness(theta, cfg.m_range)
@@ -671,7 +680,7 @@ def _suite_one_step_down(cfg, rec):
         _, t1 = sample[rng.randrange(len(sample))]
         _, t2 = sample[rng.randrange(len(sample))]
         prod = compose(t1, t2)
-        if compose(compose(prod, f), invert_automorphism(prod)) != f:
+        if conjugate(prod, f) != f:
             return {"trial": t, "f": f}
 
     _check(

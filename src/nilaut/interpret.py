@@ -18,6 +18,7 @@ from .automorphisms import (
     Endomorphism,
     canonical_symmetry,
     compose,
+    conjugate,
     identity_endomorphism,
     inner,
     invert_automorphism,
@@ -117,7 +118,7 @@ def t_plus_minus_classify(f: Endomorphism, symmetry_sample) -> TClassification:
     finv = invert_automorphism(f)
     stratum = {}
     for label, theta in sample:
-        conj = compose(compose(theta, f), invert_automorphism(theta))
+        conj = conjugate(theta, f)
         plus = conj == f
         minus = conj == finv
         prev = stratum.setdefault(label, {"plus": True, "minus": True})

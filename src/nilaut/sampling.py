@@ -9,10 +9,12 @@ from .automorphisms import (
     Endomorphism,
     canonical_symmetry,
     compose,
+    conjugate,
+    identity_endomorphism,
     inner,
-    invert_automorphism,
     lift_matrix,
 )
+from .errors import InternalError
 from .glz import random_unimodular
 from .nilgroup import GroupContext, GroupElement, from_exponents, generator
 
@@ -63,8 +65,6 @@ def random_k_member(ctx: GroupContext, rng, m: int, bound: int = 3, nontrivial: 
     if m == ctx.nilpotency_class:
         if nontrivial:
             raise ValueError("K_s is trivial; no nontrivial member exists")
-        from .automorphisms import identity_endomorphism
-
         return identity_endomorphism(ctx)
     while True:
         images = []
@@ -87,8 +87,7 @@ def random_automorphism(ctx: GroupContext, rng) -> Endomorphism:
 
 def conjugated_symmetry(ctx: GroupContext, rng) -> Endomorphism:
     c = random_automorphism(ctx, rng)
-    theta = canonical_symmetry(ctx)
-    return compose(compose(c, theta), invert_automorphism(c))
+    return conjugate(c, canonical_symmetry(ctx))
 
 
 def ia_perturbed_symmetry(ctx: GroupContext, rng) -> Endomorphism:
@@ -97,7 +96,7 @@ def ia_perturbed_symmetry(ctx: GroupContext, rng) -> Endomorphism:
     j = rng.randint(1, ctx.rank)
     base = compose(inner(generator(ctx, j)), canonical_symmetry(ctx))
     c = random_automorphism(ctx, rng)
-    return compose(compose(c, base), invert_automorphism(c))
+    return conjugate(c, base)
 
 
 def symmetry_sample(ctx: GroupContext, rng, conjugates: int = 20, perturbed: int = 10):
@@ -106,8 +105,6 @@ def symmetry_sample(ctx: GroupContext, rng, conjugates: int = 20, perturbed: int
 
     Returns (label, involution) pairs; every entry squares to the identity.
     """
-    from .automorphisms import identity_endomorphism
-
     ident = identity_endomorphism(ctx)
     out = [("canonical", canonical_symmetry(ctx))]
     for _ in range(conjugates):
@@ -115,5 +112,6 @@ def symmetry_sample(ctx: GroupContext, rng, conjugates: int = 20, perturbed: int
     for _ in range(perturbed):
         out.append(("ia_perturbed", ia_perturbed_symmetry(ctx, rng)))
     for label, theta in out:
-        assert compose(theta, theta) == ident, label
+        if compose(theta, theta) != ident:
+            raise InternalError("sampled %s member is not an involution" % label)
     return out

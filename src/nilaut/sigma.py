@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InputError, SearchExhausted
+from .errors import DomainError, InputError, InternalError, SearchExhausted
 from .automorphisms import (
     Endomorphism,
     abelianization_matrix,
     compose,
+    conjugate,
     endomorphism_to_json,
     identity_endomorphism,
     invert_automorphism,
@@ -45,6 +46,8 @@ __all__ = [
     "MembershipVerdict",
     "sigma_sequence",
     "matrix_sigma_sequence",
+    "check_involution",
+    "descent_verdict",
     "necessity_check",
     "find_nontrivial_witness",
     "is_symmetry_mod_IA",
@@ -82,7 +85,8 @@ class MembershipVerdict:
     certificate: dict = None
 
 
-def _check_involution(theta: Endomorphism) -> None:
+def check_involution(theta: Endomorphism) -> None:
+    """Raise DomainError unless theta has order exactly two."""
     ident = identity_endomorphism(theta.context)
     if theta == ident:
         raise DomainError("the identity is excluded; an involution has order two")
@@ -127,15 +131,31 @@ def matrix_sigma_sequence(sigma: IntMatrix, phis, length: int):
     return terms
 
 
+def descent_verdict(sigma: Endomorphism, phis) -> NecessityVerdict:
+    """Run the recursion on sigma against the phis and check the descent.
+
+    The verdict passes when term m lies in K_m for every m up to the class
+    s and term s is the identity; the violations list the failing m.
+    """
+    ctx = sigma.context
+    s = ctx.nilpotency_class
+    trace = sigma_sequence(sigma, phis, s)
+    violations = [m for m in range(1, s + 1) if trace.depths[m] < m]
+    if trace.terms[s] != identity_endomorphism(ctx) and s not in violations:
+        violations.append(s)
+    return NecessityVerdict(not violations, trace, violations)
+
+
 def necessity_check(theta: Endomorphism, sigma: Endomorphism, conjugators) -> NecessityVerdict:
     """Run the recursion against conjugates of theta and check the descent.
 
-    The verdict passes when term m lies in K_m for every m up to the class
-    and the final term is the identity.
+    The composition of the per-involution part, `check_involution(theta)`
+    and the conjugates phi_m = c_m theta c_m^-1 of the first s conjugators,
+    with the per-pair part, `descent_verdict(sigma, phis)`.  A caller that
+    checks many sigmas against one theta runs the first part once.
     """
-    _check_involution(theta)
-    ctx = theta.context
-    s = ctx.nilpotency_class
+    check_involution(theta)
+    s = theta.context.nilpotency_class
     conjugators = list(conjugators)
     if len(conjugators) < s:
         raise InputError("need %d conjugators, got %d" % (s, len(conjugators)))
@@ -144,16 +164,8 @@ def necessity_check(theta: Endomorphism, sigma: Endomorphism, conjugators) -> Ne
         ok, _ = is_automorphism(c)
         if not ok:
             raise DomainError("conjugators must be automorphisms")
-        phis.append(compose(compose(c, theta), invert_automorphism(c)))
-    trace = sigma_sequence(sigma, phis, s)
-    violations = []
-    for m in range(1, s + 1):
-        if trace.depths[m] < m:
-            violations.append(m)
-    if not trace.terms[s] == identity_endomorphism(ctx):
-        if s not in violations:
-            violations.append(s)
-    return NecessityVerdict(not violations, trace, violations)
+        phis.append(conjugate(c, theta))
+    return descent_verdict(sigma, phis)
 
 
 def _embed_block(mat2: IntMatrix, n: int) -> IntMatrix:
@@ -176,7 +188,7 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     certified non-trivial by its abelianization.  Involutions whose
     abelianization is minus the identity admit no witness and return None.
     """
-    _check_involution(theta)
+    check_involution(theta)
     ctx = theta.context
     s = ctx.nilpotency_class
     amat = abelianization_matrix(theta)
@@ -204,16 +216,19 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     for rec in walk_recs:
         t_i = _family_matrix(rec.parity, rec.m, rec.orientation)
         cls_i, p_i = classify_involution2(t_i)
-        assert cls_i is cls
+        if cls_i is not cls:
+            raise InternalError("walk family member left the involution class")
         q_i = p_i @ p_s0_inv
         rho = lift_matrix(ctx, frame @ _embed_block(q_i, n) @ frame_inv)
         conjugators.append(rho)
-        thetas.append(compose(compose(rho, theta), invert_automorphism(rho)))
+        thetas.append(conjugate(rho, theta))
     trace = sigma_sequence(sigma, thetas, s)
     final_ab = abelianization_matrix(trace.terms[s])
     expected = frame @ _embed_block(walk_mats[-1], n) @ frame_inv
-    assert final_ab == expected
-    assert not final_ab.is_identity()
+    if final_ab != expected:
+        raise InternalError("lifted trace disagrees with the matrix walk")
+    if final_ab.is_identity():
+        raise InternalError("witness trace ends in the identity")
     return Witness(
         sigma=sigma,
         thetas=thetas,
@@ -234,7 +249,7 @@ def is_symmetry_mod_IA(theta: Endomorphism, m_range=(-5, 5)) -> MembershipVerdic
     `find_nontrivial_witness`, or None when its walk search over m_range
     exhausts; the abelianization alone then certifies the rejection.
     """
-    _check_involution(theta)
+    check_involution(theta)
     amat = abelianization_matrix(theta)
     minus_identity = amat == -IntMatrix.identity(theta.context.rank)
     cert = {"abelianization": amat, "abelianization_is_minus_identity": minus_identity}

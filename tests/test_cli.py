@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nilaut
 from nilaut import cli
-from nilaut.errors import DomainError, SearchExhausted
+from nilaut.errors import DomainError, InternalError, SearchExhausted
 from nilaut.harness import Report, SUITE_NAMES
 
 
@@ -98,7 +102,11 @@ def test_failure_and_search_exit_codes(monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "ring-Z"]) == 3
     assert "search error" in capsys.readouterr().err
 
-    for exc in (DomainError("not an automorphism"), AssertionError("broken invariant")):
+    for exc in (
+        DomainError("not an automorphism"),
+        AssertionError("broken invariant"),
+        InternalError("broken invariant"),
+    ):
 
         def internal(cfg, exc=exc):
             raise exc
@@ -106,3 +114,22 @@ def test_failure_and_search_exit_codes(monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_suite", internal)
         assert cli.main(["verify", "--suite", "ring-Z"]) == 3
         assert "internal error" in capsys.readouterr().err
+
+
+def test_optimized_interpreter_gives_the_same_report(tmp_path):
+    # internal invariants raise InternalError explicitly, so `python -O`,
+    # which strips bare asserts, runs the same checks and writes the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilaut.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    args = ["-m", "nilaut", "verify", "--suite", "proposition-sigma", "--rank", "2",
+            "--class", "2", "--trials", "3", "--seed", "7", "--report"]
+    texts = []
+    for flags, name in (([], "plain.json"), (["-O"], "optimized.json")):
+        path = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, *flags, *args, str(path)], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        texts.append(path.read_text())
+    assert texts[0] == texts[1]

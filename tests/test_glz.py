@@ -60,6 +60,25 @@ def test_matrix_basics():
         a.inverse_unimodular()
 
 
+def test_inverse_unimodular_fraction_free():
+    rng = random.Random(31)
+    for n in (2, 3, 4, 5):
+        for _ in range(40):
+            rows = list(random_unimodular(rng, n).rows)
+            # shuffled rows put zeros on the diagonal and force pivot swaps
+            rng.shuffle(rows)
+            a = IntMatrix(rows)
+            inv = a.inverse_unimodular()
+            assert (a @ inv).is_identity() and (inv @ a).is_identity()
+    assert M((-1,)).inverse_unimodular() == M((-1,))
+    assert M((0, 1, 0), (0, 0, 1), (1, 0, 0)).inverse_unimodular() == M((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    for bad in (M((2, 0), (0, 1)), M((1, 2), (2, 4)), M((0, 0), (0, 0)), M((3,))):
+        with pytest.raises(DomainError):
+            bad.inverse_unimodular()
+    with pytest.raises(InputError):
+        M((1, 0, 0), (0, 1, 0)).inverse_unimodular()
+
+
 def test_element_order_examples():
     assert element_order(IntMatrix.identity(2)) == 1
     assert element_order(M((0, -1), (1, -1))) == 3

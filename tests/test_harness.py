@@ -133,3 +133,48 @@ def test_check_records_trials_run():
     assert rec.checks[0]["witness"] == {"trial": 1}
     _check(cfg, rec, "demo", 30, lambda rng, t: None, "demo", "statement")
     assert rec.checks[1]["passed"] and rec.checks[1]["trials"] == 30
+
+
+def test_proposition_sigma_conjugates_once_per_theta_and_pool_index(monkeypatch):
+    # the pair loop computes each conjugate c_k theta c_k^-1 at most once per
+    # (theta, pool index k) and checks each theta's order once; the parent
+    # computed 6 x 6 x 2 conjugates and checked theta once per pair
+    from nilaut import harness
+    from nilaut.sampling import conjugated_symmetry, random_automorphism
+
+    cfg = SuiteConfig("proposition-sigma", rank=2, nil_class=2, trials=6, seed=11)
+    ctx = harness.GroupContext.get(2, 2)
+    rng = harness._trial_rng(cfg.seed, cfg.suite, "thetas")
+    thetas = [conjugated_symmetry(ctx, rng) for _ in range(cfg.trials)]
+    rng = harness._trial_rng(cfg.seed, cfg.suite, "conjugators")
+    pool = [random_automorphism(ctx, rng) for _ in range(20)]
+    pick = harness._trial_rng(cfg.seed, cfg.suite, "tuple-draws")
+    drawn = {
+        (ti, pick.randrange(20))
+        for ti in range(cfg.trials)
+        for _ in range(cfg.trials * cfg.nil_class)
+    }
+
+    conjugations = []
+    involution_checks = []
+    real_conjugate = harness.conjugate
+    real_check = harness.check_involution
+
+    def counting_conjugate(c, f):
+        # the rank-2 converse catalogue conjugates other involutions
+        if f in thetas:
+            conjugations.append((thetas.index(f), pool.index(c)))
+        return real_conjugate(c, f)
+
+    def counting_check(theta):
+        involution_checks.append(thetas.index(theta))
+        return real_check(theta)
+
+    monkeypatch.setattr(harness, "conjugate", counting_conjugate)
+    monkeypatch.setattr(harness, "check_involution", counting_check)
+    report = run_suite(cfg)
+    assert report.passed
+    assert len(conjugations) == len(set(conjugations))
+    assert set(conjugations) == drawn
+    assert len(conjugations) <= cfg.trials * 20
+    assert involution_checks == list(range(cfg.trials))

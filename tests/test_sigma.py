@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nilaut.automorphisms import (
+    Endomorphism,
     abelianization_matrix,
     canonical_symmetry,
     compose,
@@ -16,6 +17,8 @@ from nilaut.glz import IntMatrix
 from nilaut.nilgroup import GroupContext, generator
 from nilaut.sampling import ia_perturbed_symmetry, random_automorphism, symmetry_sample
 from nilaut.sigma import (
+    check_involution,
+    descent_verdict,
     find_nontrivial_witness,
     is_symmetry_mod_IA,
     matrix_sigma_sequence,
@@ -116,6 +119,43 @@ def test_necessity_rejects_non_involution():
         necessity_check(sigma, sigma, [sigma, sigma])
     with pytest.raises(DomainError):
         necessity_check(identity_endomorphism(CTX22), sigma, [sigma, sigma])
+
+
+def test_necessity_rejects_non_automorphism_conjugator():
+    theta = canonical_symmetry(CTX22)
+    sigma = lift_matrix(CTX22, SHEAR)
+    singular = Endomorphism(CTX22, [generator(CTX22, 1), generator(CTX22, 1)])
+    with pytest.raises(DomainError):
+        necessity_check(theta, sigma, [singular, theta])
+    with pytest.raises(DomainError):
+        check_involution(sigma)
+
+
+def test_descent_verdict_is_the_per_pair_part_of_necessity_check():
+    # hand-built phis: conjugates of theta by lifted matrices; the diagonal
+    # lift is no symmetry modulo IA, so it gives failing verdicts too
+    outcomes = set()
+    for ctx in (CTX22, CTX23):
+        s = ctx.nilpotency_class
+        for theta in (canonical_symmetry(ctx), lift_matrix(ctx, DIAG)):
+            check_involution(theta)
+            conj = [lift_matrix(ctx, m) for m in (SHEAR, SWAP, SHEAR.transpose())][:s]
+            phis = [compose(compose(c, theta), invert_automorphism(c)) for c in conj]
+            for sigma in (lift_matrix(ctx, SHEAR), identity_endomorphism(ctx)):
+                full = necessity_check(theta, sigma, conj)
+                part = descent_verdict(sigma, phis)
+                assert part.passed == full.passed
+                assert part.violations == full.violations
+                assert part.trace.terms == full.trace.terms
+                assert part.trace.depths == full.trace.depths
+                outcomes.add(part.passed)
+    assert outcomes == {True, False}
+    # term 1 of the shear against the diagonal lift has abelianization
+    # (1 -2; 0 1), so it misses K_1
+    theta = lift_matrix(CTX22, DIAG)
+    verdict = descent_verdict(lift_matrix(CTX22, SHEAR), [theta, theta])
+    assert not verdict.passed and verdict.violations == [1]
+    assert verdict.trace.depths[1] == 0
 
 
 def test_witness_for_diagonal_lift_frozen_trace():
