@@ -23,6 +23,7 @@ from .nilgroup import (
     _from_series,
     _series_mul,
     _zero_series,
+    abelianization,
     format_element,
     invert,
     multiply,
@@ -160,15 +161,14 @@ def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
 
 def conjugate(c: Endomorphism, f: Endomorphism) -> Endomorphism:
     """The conjugate c f c^-1 of f by the automorphism c."""
-    return compose(compose(c, f), invert_automorphism(c))
+    # right-associated, so the maps applied are c and f, whose monomial
+    # images stay cached across calls, not the fresh composite c o f
+    return compose(c, compose(f, invert_automorphism(c)))
 
 
 def abelianization_matrix(f: Endomorphism) -> IntMatrix:
     """Column j is the abelianized image of x_j."""
-    n = f.context.rank
-    return IntMatrix(
-        [[f.images[j].exponents[i] for j in range(n)] for i in range(n)]
-    )
+    return IntMatrix(zip(*map(abelianization, f.images)))
 
 
 def is_automorphism(f: Endomorphism):

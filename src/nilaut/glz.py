@@ -602,11 +602,13 @@ def classify_involution2(mat: IntMatrix):
         cls = InvolutionClass.SWAP
         p0 = ((u[0] + v[0]) // 2, (u[1] + v[1]) // 2)
         p1 = ((u[0] - v[0]) // 2, (u[1] - v[1]) // 2)
-        assert 2 * p0[0] == u[0] + v[0] and 2 * p0[1] == u[1] + v[1]
+        if 2 * p0[0] != u[0] + v[0] or 2 * p0[1] != u[1] + v[1]:
+            raise InternalError("eigenvectors of a swap involution have odd sum")
         p = IntMatrix([[p0[0], p1[0]], [p0[1], p1[1]]])
     else:
-        raise AssertionError("eigenlattice index outside {1, 2}")
-    assert p @ _CLASS_REPS[cls] @ p.inverse_unimodular() == mat
+        raise InternalError("eigenlattice index outside {1, 2}")
+    if p @ _CLASS_REPS[cls] @ p.inverse_unimodular() != mat:
+        raise InternalError("classifying conjugator does not conjugate the representative")
     return cls, p
 
 
@@ -805,7 +807,12 @@ def is_diagonalizable_involution(mat: IntMatrix) -> bool:
 
 
 def random_unimodular(rng, n: int, min_factors: int = 5, max_factors: int = 15, bound: int = 3) -> IntMatrix:
-    """Product of random elementary shear matrices, entries in [-bound, bound]."""
+    """Product of random elementary shear matrices, entries in [-bound, bound].
+
+    Needs n >= 2, since a shear has two distinct indices.
+    """
+    if n < 2:
+        raise InputError("random unimodular matrices need n >= 2, got %r" % (n,))
     out = IntMatrix.identity(n)
     for _ in range(rng.randint(min_factors, max_factors)):
         i = rng.randrange(n)
@@ -887,7 +894,7 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
     fix = kernel_basis(f - eye)
     neg = kernel_basis(f + eye)
     if len(fix) + len(neg) != n:
-        raise AssertionError("eigenlattices of an involution must span rationally")
+        raise InternalError("eigenlattices of an involution must span rationally")
     stacked = IntMatrix(list(fix) + list(neg))
     if stacked.det() in (1, -1):
         b_rows = [fix[0], neg[0]]
@@ -904,7 +911,8 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         _, d, v = smith_normal_form(list(stacked.rows))
         w = v.inverse_unimodular()
         divisors = [d.rows[i][i] for i in range(n)]
-        assert all(x in (1, 2) for x in divisors)
+        if any(x not in (1, 2) for x in divisors):
+            raise InternalError("elementary divisor of Fix (+) Neg outside {1, 2}")
         x0 = tuple(w.rows[divisors.index(2)])
         fx0 = f @ x0
         u_full = tuple(a + b for a, b in zip(x0, fx0))
@@ -912,7 +920,8 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         a, u0 = _primitive_part(u_full)
         b, w0 = _primitive_part(w_full)
         # both contents are odd, otherwise x0 would lie in Fix (+) Neg
-        assert a % 2 == 1 and b % 2 == 1
+        if a % 2 != 1 or b % 2 != 1:
+            raise InternalError("x0 + f x0 or x0 - f x0 has even content")
         x = tuple(
             xi + ((1 - a) // 2) * ui + ((1 - b) // 2) * wi
             for xi, ui, wi in zip(x0, u0, w0)
@@ -921,9 +930,11 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         # now x + fx and x - fx are primitive, which forces <x, fx> to be a
         # saturated plane with basis (x, fx)
         _, dxy, _ = smith_normal_form([list(x), list(fx)])
-        assert dxy.rows[0][0] == 1 and dxy.rows[1][1] == 1
+        if dxy.rows[0][0] != 1 or dxy.rows[1][1] != 1:
+            raise InternalError("the swap plane <x, f x> is not saturated")
         lam = solve_right(IntMatrix([list(x), list(fx)]), (1, 0))
-        assert lam is not None
+        if lam is None:
+            raise InternalError("no functional separates x from f x")
         mu = (IntMatrix([list(lam)]) @ f).rows[0]
         c_rows = kernel_basis(IntMatrix([list(lam), list(mu)]))
         b = Sublattice(n, [x, fx])
@@ -933,12 +944,16 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         restriction = SWAP_REP
         split = InvariantSplitting(b, c, restriction, frame)
     # the frame must be a basis adapted to the splitting
-    assert split.frame.det() in (1, -1)
-    assert relation_R(split.b, split.c)
+    if split.frame.det() not in (1, -1):
+        raise InternalError("splitting frame is not unimodular")
+    if not relation_R(split.b, split.c):
+        raise InternalError("splitting summands are not complementary")
     finv = split.frame.inverse_unimodular()
     blocked = finv @ f @ split.frame
     for i in range(2):
         for j in range(2, n):
-            assert blocked.rows[i][j] == 0 and blocked.rows[j][i] == 0
-    assert IntMatrix([r[:2] for r in blocked.rows[:2]]) == split.restriction
+            if blocked.rows[i][j] != 0 or blocked.rows[j][i] != 0:
+                raise InternalError("involution is not block diagonal in the splitting frame")
+    if IntMatrix([r[:2] for r in blocked.rows[:2]]) != split.restriction:
+        raise InternalError("splitting restriction disagrees with the frame")
     return split

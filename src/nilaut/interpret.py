@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InternalError
 from .automorphisms import (
     Endomorphism,
     canonical_symmetry,
@@ -34,7 +34,15 @@ from .glz import (
     relation_R,
     solve_left,
 )
-from .nilgroup import GroupContext, GroupElement, from_exponents, generator, invert, multiply
+from .nilgroup import (
+    GroupContext,
+    GroupElement,
+    abelianization,
+    from_exponents,
+    generator,
+    invert,
+    multiply,
+)
 
 __all__ = [
     "inn_to_abelian",
@@ -73,7 +81,7 @@ def inn_to_abelian(f: Endomorphism, witness: GroupElement):
         raise InputError("witness context mismatch")
     if inner(witness) != f:
         raise InputError("witness does not conjugate to the given automorphism")
-    return tuple(witness.exponents[: ctx.rank])
+    return abelianization(witness)
 
 
 def abelian_to_inn(ctx: GroupContext, vector) -> Endomorphism:
@@ -158,8 +166,10 @@ def factor_inner_as_symmetries(ctx: GroupContext, gen_index: int):
             images.append(multiply(multiply(xinv, invert(y)), x))
     theta2 = Endomorphism(ctx, images)
     ident = identity_endomorphism(ctx)
-    assert compose(theta2, theta2) == ident
-    assert compose(theta1, theta2) == inner(x)
+    if compose(theta2, theta2) != ident:
+        raise InternalError("the second symmetry does not square to the identity")
+    if compose(theta1, theta2) != inner(x):
+        raise InternalError("the two symmetries do not compose to the conjugation")
     return theta1, theta2
 
 
@@ -226,7 +236,8 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
             lat = Sublattice(n, rows) if rows else Sublattice.zero(n)
             if lat not in summands:
                 summands.append(lat)
-    assert all(is_direct_summand(s) for s in summands)
+    if not all(is_direct_summand(s) for s in summands):
+        raise InternalError("a harvested eigenlattice is not a direct summand")
     vectors = []
 
     def add_vector(v):
@@ -395,5 +406,6 @@ def int_mul(a: EncodedInteger, b: EncodedInteger) -> EncodedInteger:
     vec = (decode_int(b), 0)  # b as the vector b * e1
     moved = a.matrix @ vec
     diff = (moved[0] - vec[0], moved[1] - vec[1])
-    assert diff[0] == 0
+    if diff[0] != 0:
+        raise InternalError("the carrier moved the first coordinate")
     return encode_int(diff[1])

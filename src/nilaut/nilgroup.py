@@ -2,9 +2,9 @@
 
 A free nilpotent group of rank n and class s is coordinatized by the Hall
 basis of basic commutators of weight at most s.  Every element has a unique
-collected normal form b_1^{e_1} ... b_K^{e_K} with the b_i in basis order,
-and is stored as the exponent vector (e_1, ..., e_K) of arbitrary-precision
-integers.
+collected normal form b_1^{e_1} ... b_K^{e_K} with the b_i in basis order;
+its exponent vector (e_1, ..., e_K) of arbitrary-precision integers is the
+boundary format, used for input, text, JSON and hashing.
 
 Conventions, fixed once and used by every module in this package:
 
@@ -18,10 +18,15 @@ Multiplication, inversion, powers and word collection are computed through
 an exact truncated-series embedding (generators map to 1 + X_i in the free
 associative ring over the X_i, truncated above degree s), which is faithful
 and keeps all arithmetic in integers.  `collect` multiplies the series of
-the word's letters and reads the collected coordinates off the product.
-Every result keeps the series its coordinates were read from, so a chain
-of operations converts coordinates to a series only for its inputs;
-`_from_series` is the one place a series becomes an element.
+the word's letters.  Every result is stored as its series alone, and its
+coordinates are read off on first access, so a chain of operations
+converts between the two formats only for its inputs and for what it hands
+out; `_from_series` is the one place a series becomes an element.  Weight,
+identity and equality tests, the abelianization and the class projection
+read the series of an element whose coordinates were not read off yet.
+That is exact: the embedding is faithful, and g lies in N_m exactly when
+its series minus 1 starts in degree m, because the dimension subgroups of
+a free group are the terms of its lower central series (Magnus; Witt).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 __all__ = [
     "HallBasisElement",
@@ -47,6 +52,7 @@ __all__ = [
     "power",
     "commutator",
     "weight",
+    "abelianization",
     "project_to_class",
     "collect",
     "parse_element",
@@ -246,7 +252,7 @@ def _left_inverse(columns, nrows):
                 sel = r
                 break
         if sel is None:
-            raise AssertionError("bracket polynomials are not independent")
+            raise InternalError("bracket polynomials are not independent")
         rows[piv], rows[sel] = rows[sel], rows[piv]
         pv = rows[piv][col]
         if pv != 1:
@@ -323,7 +329,7 @@ def _series_iadd_scaled(acc, ser, c):
 
 def _series_unit_inv(ctx, a):
     if a[0][0] != 1:
-        raise AssertionError("series is not a group image")
+        raise InternalError("series is not a group image")
     nu = [[-v for v in blk] for blk in a]
     nu[0][0] = 0
     out = _unit_series(ctx)
@@ -345,7 +351,7 @@ def _series_comm(ctx, a, b):
 def _series_unit_power(ctx, a, e):
     """(unit series)^e for any integer e, by the binomial expansion."""
     if a[0][0] != 1:
-        raise AssertionError("series is not a group image")
+        raise InternalError("series is not a group image")
     u = [list(blk) for blk in a]
     u[0][0] = 0
     out = _unit_series(ctx)
@@ -395,8 +401,6 @@ def _series_of_coords(ctx, exps):
 
 def _series_to_coords(ctx, ser):
     """Collected exponent vector of a series that represents a group element."""
-    if ser[0][0] != 1:
-        raise AssertionError("series is not a group image")
     s = ctx.nilpotency_class
     exps = [0] * ctx.dim
     r = ser
@@ -415,7 +419,7 @@ def _series_to_coords(ctx, ser):
                         acc += coeff * x
                 q, rem = divmod(acc, den)
                 if rem:
-                    raise AssertionError("non-integral collected coordinate")
+                    raise InternalError("non-integral collected coordinate")
                 coords.append(q)
         for k, c in enumerate(coords):
             exps[lo + k] = c
@@ -449,33 +453,44 @@ def _series_to_coords(ctx, ser):
 class GroupElement:
     """A group element in collected normal form over the Hall basis.
 
-    Equality and hashing use the exponents.  The element's series is built
-    from the exponents at first use, unless the element is the result of an
-    operation, which keeps the series it read its coordinates from.  A
-    stored series is shared and never mutated in place.
+    An element holds its exponents, its series, or both.  Elements built
+    from exponents get their series at first use; results of operations
+    hold only their series and read the exponents off at first access
+    (checked to be integral), so every exponent vector that leaves the
+    engine went through that check.  Weight, identity and equality tests
+    read whichever form is present, preferring the exponents; hashing uses
+    the exponents.  A stored series is shared and never mutated in place.
     """
 
-    __slots__ = ("context", "exponents", "_series")
+    __slots__ = ("context", "_exponents", "_series")
 
     def __init__(self, context: GroupContext, exponents):
         self.context = context
-        self.exponents = tuple(exponents)
+        self._exponents = tuple(exponents)
         self._series = None
+
+    @property
+    def exponents(self):
+        if self._exponents is None:
+            self._exponents = _series_to_coords(self.context, self._series)
+        return self._exponents
 
     def _magnus(self):
         if self._series is None:
-            self._series = _series_of_coords(self.context, self.exponents)
+            self._series = _series_of_coords(self.context, self._exponents)
         return self._series
 
     def is_identity(self) -> bool:
-        return not any(self.exponents)
+        if self._exponents is None:
+            return not any(any(blk) for blk in self._series[1:])
+        return not any(self._exponents)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.context == other.context
-            and self.exponents == other.exponents
-        )
+        if not (isinstance(other, GroupElement) and self.context == other.context):
+            return False
+        if self._exponents is not None and other._exponents is not None:
+            return self._exponents == other._exponents
+        return self._magnus() == other._magnus()
 
     def __hash__(self):
         return hash((self.context.rank, self.context.nilpotency_class, self.exponents))
@@ -491,9 +506,13 @@ class GroupElement:
 
 
 def _from_series(ctx: GroupContext, ser) -> GroupElement:
-    # the only place a series becomes an element: read the coordinates once
-    # and keep the series, so later operations on the result reuse it
-    g = GroupElement(ctx, _series_to_coords(ctx, ser))
+    # the only place a series becomes an element: keep the series and read
+    # the coordinates off only when something asks for them
+    if ser[0][0] != 1:
+        raise InternalError("series is not a group image")
+    g = GroupElement.__new__(GroupElement)
+    g.context = ctx
+    g._exponents = None
     g._series = ser
     return g
 
@@ -581,11 +600,24 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
 def weight(g: GroupElement) -> int:
     """Largest m with g in N_m; the identity returns the sentinel s + 1."""
     ctx = g.context
-    for w in range(1, ctx.nilpotency_class + 1):
-        lo, hi = ctx._weight_ranges[w]
-        if any(g.exponents[lo:hi]):
+    s = ctx.nilpotency_class
+    for w in range(1, s + 1):
+        if g._exponents is None:
+            block = g._series[w]
+        else:
+            lo, hi = ctx._weight_ranges[w]
+            block = g._exponents[lo:hi]
+        if any(block):
             return w
-    return ctx.nilpotency_class + 1
+    return s + 1
+
+
+def abelianization(g: GroupElement) -> tuple:
+    """Image of g in Z^rank: its weight-1 exponents, the degree-1 block of
+    its series."""
+    if g._exponents is None:
+        return tuple(g._series[1])
+    return g._exponents[: g.context.rank]
 
 
 def project_to_class(g: GroupElement, m: int) -> GroupElement:
@@ -596,7 +628,9 @@ def project_to_class(g: GroupElement, m: int) -> GroupElement:
     if m == ctx.nilpotency_class:
         return g
     tgt = GroupContext.get(ctx.rank, m)
-    return GroupElement(tgt, g.exponents[: tgt.dim])
+    if g._exponents is None:
+        return _from_series(tgt, g._series[: m + 1])
+    return GroupElement(tgt, g._exponents[: tgt.dim])
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,9 @@ def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
     for m in range(length):
         phi = phis[m]
         tail = invert_automorphism(cur) if m % 2 == 0 else cur
-        cur = compose(compose(compose(phi, cur), phi), tail)
+        # right-associated, so the maps applied are phi and cur, whose
+        # monomial images stay cached across calls, not fresh composites
+        cur = compose(phi, compose(cur, compose(phi, tail)))
         terms.append(cur)
     return SigmaTrace(terms, [k_depth(t) for t in terms])
 

@@ -1,3 +1,5 @@
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -133,3 +135,22 @@ def test_optimized_interpreter_gives_the_same_report(tmp_path):
         assert proc.returncode == 0, proc.stderr
         texts.append(path.read_text())
     assert texts[0] == texts[1]
+
+
+def test_package_has_no_bare_asserts():
+    # `python -O` strips `assert` statements, so every internal invariant
+    # raises InternalError instead, also in place of a bare AssertionError
+    pkg = os.path.dirname(os.path.abspath(nilaut.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append("%s:%d" % (os.path.basename(path), node.lineno))
+    assert found == []

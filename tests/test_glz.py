@@ -79,6 +79,19 @@ def test_inverse_unimodular_fraction_free():
         M((1, 0, 0), (0, 1, 0)).inverse_unimodular()
 
 
+def test_random_unimodular_refuses_n_below_2():
+    # a shear needs two distinct indices; n < 2 used to loop forever
+    rng = random.Random(5)
+    state = rng.getstate()
+    for n in (1, 0, -1):
+        with pytest.raises(InputError):
+            random_unimodular(rng, n)
+    assert rng.getstate() == state
+    # the stream for n >= 2 is unchanged
+    assert random_unimodular(rng, 2) == M((7, -6), (6, -5))
+    assert random_unimodular(rng, 3) == M((-13, -4, -3), (-55, -17, -13), (4, 1, 1))
+
+
 def test_element_order_examples():
     assert element_order(IntMatrix.identity(2)) == 1
     assert element_order(M((0, -1), (1, -1))) == 3

@@ -178,3 +178,31 @@ def test_proposition_sigma_conjugates_once_per_theta_and_pool_index(monkeypatch)
     assert set(conjugations) == drawn
     assert len(conjugations) <= cfg.trials * 20
     assert involution_checks == list(range(cfg.trials))
+
+
+def test_proposition_sigma_pair_loop_reads_no_coordinates(monkeypatch):
+    # the recursion, its depths and the abelianized shadow read Magnus
+    # series only; Hall coordinates are read off where they leave the engine
+    from nilaut import harness, nilgroup
+
+    readoffs = []
+    marks = []
+    real_read = nilgroup._series_to_coords
+    real_verdict = harness.descent_verdict
+
+    def counting_read(ctx, ser):
+        readoffs.append(ctx)
+        return real_read(ctx, ser)
+
+    def marking_verdict(sigma, phis):
+        marks.append(len(readoffs))
+        verdict = real_verdict(sigma, phis)
+        marks.append(len(readoffs))
+        return verdict
+
+    monkeypatch.setattr(nilgroup, "_series_to_coords", counting_read)
+    monkeypatch.setattr(harness, "descent_verdict", marking_verdict)
+    report = run_suite(SuiteConfig("proposition-sigma", rank=3, nil_class=3, trials=2, seed=11))
+    assert report.passed
+    assert len(marks) == 2 * 2 * 2
+    assert marks[0] == marks[-1]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nilaut import nilgroup as ng
-from nilaut.errors import InputError
+from nilaut.errors import InputError, InternalError
 from nilaut.nilgroup import (
     FreeWord,
     GroupContext,
@@ -211,6 +211,60 @@ def test_results_keep_their_series(n, s):
     results.append(acc)
     results.extend(compose(fg, f).images)
     check()
+
+
+@pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (2, 5), (4, 4)])
+def test_lazy_and_eager_elements_agree(n, s):
+    # results hold only their series; weight, identity, projection and
+    # abelianization read it, and must match the exponent-built element
+    from nilaut.automorphisms import apply
+    from nilaut.sampling import random_automorphism
+
+    ctx = GroupContext.get(n, s)
+    rng = random.Random(700 + 10 * n + s)
+    f = random_automorphism(ctx, rng)
+    word = [(rng.randint(1, n), rng.choice((1, -1))) for _ in range(10)]
+    for _ in range(3):
+        a, b = rand_elt(ctx, rng), rand_elt(ctx, rng)
+        c = commutator(a, b)
+        cc = commutator(c, a)
+        results = [
+            ("multiply", multiply(a, b)),
+            ("invert", invert(a)),
+            ("power", power(b, -3)),
+            ("power", power(generator(ctx, n), 1)),  # series 1 + X_n exactly
+            ("commutator", c),
+            ("commutator", cc),
+            ("commutator", commutator(cc, b)),
+            ("multiply", multiply(a, invert(a))),
+            ("collect", collect(ctx, word)),
+            ("collect", collect(ctx, word + [(i, -e) for i, e in reversed(word)])),
+            ("apply", apply(f, a)),
+            ("apply", apply(f, cc)),
+        ]
+        for op, r in results:
+            # at class 2, multiply takes the closed form on exponents
+            assert (r._exponents is None) != (op == "multiply" and s == 2)
+            got = [weight(r), r.is_identity(), ng.abelianization(r)]
+            got += [project_to_class(r, m).exponents for m in range(1, s)]
+            eager = from_exponents(ctx, r.exponents)
+            want = [weight(eager), eager.is_identity(), ng.abelianization(eager)]
+            want += [project_to_class(eager, m).exponents for m in range(1, s)]
+            assert got == want
+            assert eager._series is None
+            assert project_to_class(r, s) is r
+
+            lazy = ng._from_series(ctx, r._magnus())
+            assert lazy == eager and eager == lazy
+            assert lazy._exponents is None
+            other = list(eager.exponents)
+            other[-1] += 1
+            assert lazy != from_exponents(ctx, other)
+            assert hash(lazy) == hash(eager)
+    ser = [list(blk) for blk in a._magnus()]
+    ser[0][0] = 2
+    with pytest.raises(InternalError):
+        ng._from_series(ctx, ser)
 
 
 def test_projection_is_homomorphism():

@@ -75,6 +75,25 @@ def test_sigma_sequence_matrix_shadow():
     assert compose(t3, t2) == compose(compose(phis[2], t2), phis[2])
 
 
+@pytest.mark.parametrize("n,s", [(2, 3), (3, 3)])
+def test_sigma_sequence_steps_equal_left_associated_products(n, s):
+    # the step phi sigma_m phi tail is computed right-associated; the terms
+    # must equal the left-associated product, with generic phis so that no
+    # term collapses to the identity early
+    ctx = GroupContext.get(n, s)
+    rng = random.Random(40 + 10 * n + s)
+    sigma = random_automorphism(ctx, rng)
+    phis = [random_automorphism(ctx, rng) for _ in range(s)]
+    trace = sigma_sequence(sigma, phis, s)
+    cur = sigma
+    for m, phi in enumerate(phis):
+        tail = invert_automorphism(cur) if m % 2 == 0 else cur
+        cur = compose(compose(compose(phi, cur), phi), tail)
+        assert trace.terms[m + 1] == cur
+        assert [g.exponents for g in trace.terms[m + 1].images] == [g.exponents for g in cur.images]
+    assert cur != identity_endomorphism(ctx)
+
+
 def test_sigma_sequence_validation():
     sigma = lift_matrix(CTX22, SHEAR)
     with pytest.raises(InputError):
