@@ -14,7 +14,7 @@ from .automorphisms import (
     inner,
     lift_matrix,
 )
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .glz import random_unimodular
 from .nilgroup import GroupContext, GroupElement, from_exponents, generator
 
@@ -61,10 +61,10 @@ def random_ia(ctx: GroupContext, rng, bound: int = 3) -> Endomorphism:
 def random_k_member(ctx: GroupContext, rng, m: int, bound: int = 3, nontrivial: bool = False) -> Endomorphism:
     """A member of K_m: x_j -> x_j t_j with every t_j in N_{m+1}."""
     if not 1 <= m <= ctx.nilpotency_class:
-        raise ValueError("filtration index out of range")
+        raise InputError("filtration index %r out of range 1..%d" % (m, ctx.nilpotency_class))
     if m == ctx.nilpotency_class:
         if nontrivial:
-            raise ValueError("K_s is trivial; no nontrivial member exists")
+            raise InputError("K_s is trivial; no nontrivial member exists")
         return identity_endomorphism(ctx)
     while True:
         images = []

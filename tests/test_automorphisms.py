@@ -170,6 +170,23 @@ def test_k_depth_and_filtration_closure():
     assert k_depth(f2) == 2
 
 
+def test_sampling_refuses_out_of_range_indices():
+    # a bad filtration index or weight is a usage error, raised before any
+    # draw, and so is asking K_s (which is trivial) for a nontrivial member
+    rng = random.Random(8)
+    state = rng.getstate()
+    s = CTX22.nilpotency_class
+    for m in (0, -1, s + 1):
+        with pytest.raises(InputError):
+            random_k_member(CTX22, rng, m)
+        with pytest.raises(InputError):
+            random_element_of_weight(CTX22, rng, m)
+    with pytest.raises(InputError):
+        random_k_member(CTX22, rng, s, nontrivial=True)
+    assert rng.getstate() == state
+    assert random_k_member(CTX22, rng, s) == identity_endomorphism(CTX22)
+
+
 def test_inner_examples():
     x1 = generator(CTX22, 1)
     assert inner(x1).images[1].exponents == (0, 1, -1)

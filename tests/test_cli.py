@@ -137,6 +137,32 @@ def test_optimized_interpreter_gives_the_same_report(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_oversized_context_is_usage_error(capsys):
+    # the context size guard refuses before building anything
+    argv = ["verify", "--suite", "group-axioms", "--rank", "1000", "--class", "9"]
+    assert cli.main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_package_imports_no_fractions():
+    # the package computes in arbitrary-precision integers throughout
+    pkg = os.path.dirname(os.path.abspath(nilaut.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                found.append("%s:%d" % (os.path.basename(path), node.lineno))
+    assert found == []
+
+
 def test_package_has_no_bare_asserts():
     # `python -O` strips `assert` statements, so every internal invariant
     # raises InternalError instead, also in place of a bare AssertionError

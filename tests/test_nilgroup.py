@@ -172,7 +172,7 @@ def test_class2_closed_form_agreement():
             assert got == ng._multiply_series(a, b)
 
 
-@pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (2, 5)])
+@pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (2, 5), (4, 4), (3, 5)])
 def test_results_keep_their_series(n, s):
     # every result of a series operation keeps the series its coordinates
     # were read from; that series must equal the one the coordinates give,
@@ -211,6 +211,44 @@ def test_results_keep_their_series(n, s):
     results.append(acc)
     results.extend(compose(fg, f).images)
     check()
+
+
+def test_lyndon_positions():
+    # words over 0 < 1 < 2 read as base-rank numbers: 0001 -> 1, 0011 -> 3,
+    # 0111 -> 7; 01 -> 1, 02 -> 2, 12 -> 5
+    assert ng._lyndon_positions(2, 1) == [0, 1]
+    assert ng._lyndon_positions(2, 2) == [1]
+    assert ng._lyndon_positions(2, 4) == [1, 3, 7]
+    assert ng._lyndon_positions(3, 2) == [1, 2, 5]
+    # there are as many Lyndon words of length w as basis elements of weight w
+    for n, s in [(2, 6), (3, 4), (4, 3)]:
+        ctx = GroupContext.get(n, s)
+        for w in range(1, s + 1):
+            lo, hi = ctx.weight_range(w)
+            assert len(ng._lyndon_positions(n, w)) == hi - lo
+
+
+def test_readoff_rejects_non_group_series():
+    # 1 + X_i X_j is no group image: its degree-2 part is not a Lie element,
+    # so no coordinates reproduce it
+    ctx = CTX22
+    for i in range(2):
+        for j in range(2):
+            ser = ng._unit_series(ctx)
+            ser[2][2 * i + j] = 1
+            g = ng._from_series(ctx, ser)
+            with pytest.raises(InternalError):
+                g.exponents
+
+
+def test_context_size_guard():
+    # refused from the sizes alone, before anything is allocated
+    with pytest.raises(InputError):
+        GroupContext(10**9, 10**9)
+    with pytest.raises(InputError):
+        GroupContext(6, 4)
+    for n, s in [(4, 5), (3, 6), (2, 9)]:
+        assert sum(n**d for d in range(s + 1)) <= ng.MAX_SERIES_ENTRIES
 
 
 @pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (2, 5), (4, 4)])
