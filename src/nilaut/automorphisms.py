@@ -21,15 +21,12 @@ from .nilgroup import (
     GroupContext,
     GroupElement,
     _from_series,
-    _series_mul,
-    _zero_series,
     abelianization,
     format_element,
     invert,
     multiply,
     parse_element,
     project_to_class,
-    weight,
 )
 
 __all__ = [
@@ -54,6 +51,9 @@ __all__ = [
 ]
 
 
+_UNIT_IMAGE = ((0, 1),)
+
+
 @dataclass(frozen=True)
 class AutomorphismCertificate:
     abelianized: IntMatrix
@@ -61,7 +61,21 @@ class AutomorphismCertificate:
 
 
 class Endomorphism:
-    """Map of generators to group elements, extended by freeness."""
+    """Map of generators to group elements, extended by freeness.
+
+    `apply` substitutes f(x_j) - 1 for X_j in the series of its input, so it
+    needs the image of every monomial.  Series are laid out flat, degree by
+    degree (`GroupContext._deg_offsets`), and `_mon_images` maps the flat
+    position of a monomial to the nonzero entries of its image, as
+    (flat position, value) pairs in position order.  Only monomials of
+    degree below the class s are stored.  Valuations add, so the image of a
+    degree-s monomial w x_j is the degree-(s-1) part of the image of w
+    times the degree-1 block of f(x_j), and `apply` forms that product as
+    it goes: the top degree holds most monomials, and most maps are applied
+    to a few elements only, so storing it would cost memory and save no
+    work.  When f lies in K_d, every monomial of degree above s - d maps to
+    itself, and its image is a single pair.
+    """
 
     __slots__ = ("context", "images", "_mon_images", "_inverse")
 
@@ -76,23 +90,43 @@ class Endomorphism:
                 raise InputError("generator image in the wrong context")
         self.context = context
         self.images = images
-        self._mon_images = {}
+        # the empty monomial maps to 1, the root of every image below
+        self._mon_images = {0: _UNIT_IMAGE}
         self._inverse = None
 
-    def _monomial_image(self, deg, idx):
-        # image of a degree-deg monomial in the X_i; at degree 1 it is the
-        # series of the generator's image minus 1, the substitution target
-        key = (deg, idx)
-        hit = self._mon_images.get(key)
-        if hit is None:
-            ctx = self.context
-            if deg == 1:
-                hit = [list(blk) for blk in self.images[idx]._magnus()]
-                hit[0][0] -= 1
-            else:
-                parent = self._monomial_image(deg - 1, idx // ctx.rank)
-                hit = _series_mul(ctx, parent, self._monomial_image(1, idx % ctx.rank))
-            self._mon_images[key] = hit
+    def _monomial_image(self, pos):
+        # pairs of the image of the monomial w x_j at flat position pos, of
+        # degree below s: those of w, at (pos - 1) // rank, times the series
+        # of f(x_j) minus its constant
+        ctx = self.context
+        rank = ctx.rank
+        sizes = ctx._deg_sizes
+        offsets = ctx._deg_offsets
+        end = offsets[-1]
+        parent = self._mon_images.get((pos - 1) // rank)
+        if parent is None:
+            parent = self._monomial_image((pos - 1) // rank)
+        ser = self.images[(pos - 1) % rank]._magnus()
+        hit = []
+        if parent:
+            # every product lies at or after the first parent pair times X_1
+            lo = parent[0][0] * rank + 1
+            span = end - lo
+            acc = [0] * span
+            for d in range(1, len(sizes)):
+                scale = sizes[d]
+                off = offsets[d] - lo
+                if parent[0][0] * scale + off >= span:
+                    break
+                terms = [(i, b) for i, b in enumerate(ser[d]) if b]
+                for p, a in parent:
+                    base = p * scale + off
+                    if base >= span:
+                        break
+                    for i, b in terms:
+                        acc[base + i] += a * b
+            hit = [(lo + i, v) for i, v in enumerate(acc) if v]
+        self._mon_images[pos] = hit
         return hit
 
     def __eq__(self, other):
@@ -129,27 +163,55 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
 
     Computed by pushing the series of g through the substitution
     homomorphism, which agrees with word substitution plus collection and
-    does not depend on the representing word.
+    does not depend on the representing word.  Each monomial of degree
+    below s scatters its cached image pairs into one flat series.  The
+    degree-s monomials w x_1 .. w x_n of one w share the degree-(s-1) part
+    of the image of w, which is multiplied once by the sum of their
+    coefficients times the abelianized columns of f(x_1) .. f(x_n).
     """
     ctx = f.context
     if g.context != ctx:
         raise InputError("element context does not match endomorphism context")
     src = g._magnus()
     s = ctx.nilpotency_class
-    out = _zero_series(ctx)
-    out[0][0] = 1
-    for deg in range(1, s + 1):
-        blk = src[deg]
-        for idx, c in enumerate(blk):
+    rank = ctx.rank
+    offsets = ctx._deg_offsets
+    out = [0] * offsets[-1]
+    out[0] = 1
+    images = f._mon_images
+    for deg in range(1, s):
+        lo = offsets[deg]
+        for idx, c in enumerate(src[deg]):
             if c:
-                img = f._monomial_image(deg, idx)
-                # the image of a degree-d monomial has valuation at least d
-                for dd in range(deg, s + 1):
-                    ob = out[dd]
-                    for i, v in enumerate(img[dd]):
-                        if v:
-                            ob[i] += c * v
-    return _from_series(ctx, out)
+                img = images.get(lo + idx)
+                if img is None:
+                    img = f._monomial_image(lo + idx)
+                for p, v in img:
+                    out[p] += c * v
+    cols = [[(i, v) for i, v in enumerate(abelianization(img)) if v] for img in f.images]
+    top_lo = offsets[s]
+    key = offsets[s - 1]
+    # the coefficients of w x_1 .. w x_n, for each w of degree s - 1 in turn
+    for row in zip(*[iter(src[s])] * rank):
+        if any(row):
+            col = [0] * rank
+            for c, terms in zip(row, cols):
+                if c:
+                    for i, v in terms:
+                        col[i] += c * v
+            terms = [(i + 1, v) for i, v in enumerate(col) if v]
+            if terms:
+                img = images.get(key)
+                if img is None:
+                    img = f._monomial_image(key)
+                for p, a in img:
+                    if p >= top_lo:
+                        break
+                    base = p * rank
+                    for q, v in terms:
+                        out[base + q] += a * v
+        key += 1
+    return _from_series(ctx, [out[offsets[d] : offsets[d + 1]] for d in range(s + 1)])
 
 
 def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
@@ -188,6 +250,27 @@ def _defect(f: Endomorphism, j: int) -> GroupElement:
     return multiply(GroupElement(ctx, exps), f.images[j])
 
 
+def _defect_weight(f: Endomorphism, j: int) -> int:
+    # weight(_defect(f, j)), read off the series of f(x_j): with D the
+    # defect, that series is (1 + X_j)(1 + (D - 1)), and X_j (D - 1) starts
+    # one degree above D - 1, so the lowest degree where it differs from
+    # 1 + X_j is the weight of D, with the block of D - 1 there
+    ser = f.images[j]._magnus()
+    if any(v != (i == j) for i, v in enumerate(ser[1])):
+        return 1
+    s = f.context.nilpotency_class
+    for d in range(2, s + 1):
+        if any(ser[d]):
+            return d
+    return s + 1
+
+
+def _is_identity(f: Endomorphism) -> bool:
+    # every defect weight is the sentinel s + 1
+    s = f.context.nilpotency_class
+    return all(_defect_weight(f, j) > s for j in range(f.context.rank))
+
+
 def k_depth(f: Endomorphism) -> int:
     """Largest m with f in K_m; 0 when f moves the abelianization, and the
     sentinel s + 1 for the identity automorphism."""
@@ -195,7 +278,7 @@ def k_depth(f: Endomorphism) -> int:
     s = ctx.nilpotency_class
     depth = s + 1
     for j in range(ctx.rank):
-        depth = min(depth, weight(_defect(f, j)) - 1)
+        depth = min(depth, _defect_weight(f, j) - 1)
         if depth == 0:
             return 0
     # depth == s would force every defect to be trivial, i.e. the identity
@@ -213,7 +296,7 @@ def in_K(f: Endomorphism, m: int) -> bool:
     ok, _ = is_automorphism(f)
     if not ok:
         raise DomainError("filtration membership is defined for automorphisms")
-    return all(weight(_defect(f, j)) >= m + 1 for j in range(ctx.rank))
+    return all(_defect_weight(f, j) >= m + 1 for j in range(ctx.rank))
 
 
 def invert_automorphism(f: Endomorphism) -> Endomorphism:
@@ -233,11 +316,10 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     if not ok:
         raise DomainError("endomorphism is not an automorphism")
     ctx = f.context
-    ident = identity_endomorphism(ctx)
     h = lift_matrix(ctx, cert.abelianized.inverse_unimodular())
     for _ in range(ctx.nilpotency_class + 1):
         rho = compose(f, h)
-        if rho == ident:
+        if _is_identity(rho):
             break
         # rho(x_j) = x_j d_j with d_j deep in the filtration; composing with
         # x_j -> x_j d_j^-1 pushes the residual at least twice as deep
@@ -250,7 +332,7 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
         h = compose(h, Endomorphism(ctx, images))
     else:
         raise InternalError("automorphism inversion failed to converge")
-    if compose(h, f) != ident:
+    if not _is_identity(compose(h, f)):
         raise InternalError("the computed inverse is only a right inverse")
     f._inverse = h
     h._inverse = f

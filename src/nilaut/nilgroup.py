@@ -174,6 +174,14 @@ class GroupContext:
             self._weight_ranges[w] = (lo, hi)
         s = nilpotency_class
         self._deg_sizes = [rank**d for d in range(s + 1)]
+        # where each degree's block starts when the series is laid out flat,
+        # degree by degree; the last entry is the flat length.  The product
+        # of monomials at flat positions p and q (q of degree d) sits at
+        # p * rank**d + q, since offsets[d1 + d] = offsets[d1] * rank**d +
+        # offsets[d]
+        self._deg_offsets = [0]
+        for size in self._deg_sizes:
+            self._deg_offsets.append(self._deg_offsets[-1] + size)
         self._basis_series = []
         for b in self.basis:
             self._basis_series.append(self._series_of_basis(b))

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from .errors import DomainError, InputError, InternalError, SearchExhausted
 from .automorphisms import (
     Endomorphism,
+    _is_identity,
     abelianization_matrix,
     compose,
     conjugate,
     endomorphism_to_json,
-    identity_endomorphism,
     invert_automorphism,
     is_automorphism,
     k_depth,
@@ -87,10 +87,9 @@ class MembershipVerdict:
 
 def check_involution(theta: Endomorphism) -> None:
     """Raise DomainError unless theta has order exactly two."""
-    ident = identity_endomorphism(theta.context)
-    if theta == ident:
+    if _is_identity(theta):
         raise DomainError("the identity is excluded; an involution has order two")
-    if compose(theta, theta) != ident:
+    if not _is_identity(compose(theta, theta)):
         raise DomainError("automorphism does not square to the identity")
 
 
@@ -139,11 +138,10 @@ def descent_verdict(sigma: Endomorphism, phis) -> NecessityVerdict:
     The verdict passes when term m lies in K_m for every m up to the class
     s and term s is the identity; the violations list the failing m.
     """
-    ctx = sigma.context
-    s = ctx.nilpotency_class
+    s = sigma.context.nilpotency_class
     trace = sigma_sequence(sigma, phis, s)
     violations = [m for m in range(1, s + 1) if trace.depths[m] < m]
-    if trace.terms[s] != identity_endomorphism(ctx) and s not in violations:
+    if not _is_identity(trace.terms[s]) and s not in violations:
         violations.append(s)
     return NecessityVerdict(not violations, trace, violations)
 

@@ -4,6 +4,9 @@ import pytest
 
 from nilaut.automorphisms import (
     Endomorphism,
+    _defect,
+    _defect_weight,
+    _is_identity,
     abelianization_matrix,
     apply,
     canonical_symmetry,
@@ -24,6 +27,10 @@ from nilaut.errors import DomainError, InputError
 from nilaut.glz import IntMatrix, random_unimodular
 from nilaut.nilgroup import (
     GroupContext,
+    _series_iadd_scaled,
+    _series_mul,
+    _unit_series,
+    _zero_series,
     from_exponents,
     generator,
     generator_word,
@@ -77,6 +84,56 @@ def test_apply_agrees_with_word_substitution():
                 img = f.images[i - 1]
                 sub = multiply(sub, img if s == 1 else invert(img))
             assert sub == apply(f, g)
+
+
+def _dense_apply(f, g):
+    # reference substitution: the sum over monomials w of c_w times the
+    # product of f(x_i) - 1 over the letters of w, by dense series products
+    ctx = f.context
+    rank = ctx.rank
+    subs = []
+    for img in f.images:
+        x = [list(blk) for blk in img._magnus()]
+        x[0][0] -= 1
+        subs.append(x)
+    mono = {(0, 0): _unit_series(ctx)}
+    out = _zero_series(ctx)
+    for deg, blk in enumerate(g._magnus()):
+        for idx, c in enumerate(blk):
+            if deg:
+                mono[deg, idx] = _series_mul(ctx, mono[deg - 1, idx // rank], subs[idx % rank])
+            if c:
+                _series_iadd_scaled(out, mono[deg, idx], c)
+    return out
+
+
+def _degree_of(ctx, pos):
+    # degree of the monomial at a flat series position
+    offsets = ctx._deg_offsets
+    return max(d for d in range(len(offsets) - 1) if offsets[d] <= pos)
+
+
+@pytest.mark.parametrize("rank,nil_class", [(2, 1), (2, 2), (3, 3), (2, 5), (4, 4), (3, 5)])
+def test_apply_matches_dense_substitution(rank, nil_class):
+    ctx = GroupContext.get(rank, nil_class)
+    s = nil_class
+    rng = random.Random(100 * rank + nil_class)
+    maps = [(random_automorphism(ctx, rng), 0) for _ in range(2)]
+    maps += [(random_k_member(ctx, rng, d), d) for d in range(1, s + 1)]
+    for f, depth in maps:
+        for _ in range(2):
+            eager = random_element(ctx, rng, bound=2)
+            lazy = invert(random_element(ctx, rng, bound=2))
+            assert eager._series is None and lazy._exponents is None
+            for g in (eager, lazy):
+                ref = _dense_apply(f, g)
+                assert apply(f, g)._magnus() == ref
+        # the top degree is never stored, and in K_d every monomial of
+        # degree above s - d maps to itself
+        assert all(_degree_of(ctx, pos) < s for pos in f._mon_images)
+        for pos, pairs in f._mon_images.items():
+            if _degree_of(ctx, pos) > s - depth:
+                assert list(pairs) == [(pos, 1)]
 
 
 def test_compose_examples():
@@ -168,6 +225,36 @@ def test_k_depth_and_filtration_closure():
                 assert in_K(f, m - 1)
     f2 = random_k_member(ctx, rng, 2, nontrivial=True)
     assert k_depth(f2) == 2
+
+
+@pytest.mark.parametrize("rank,nil_class", [(2, 3), (3, 3), (2, 5)])
+def test_filtration_readings_match_their_definitions(rank, nil_class):
+    # k_depth, in_K and the identity test read each defect weight off the
+    # series of f(x_j); compare with weight(x_j^-1 f(x_j)) computed by
+    # multiplication, on members of every K_m, the identity and non-IA maps
+    ctx = GroupContext.get(rank, nil_class)
+    s = nil_class
+    rng = random.Random(10 * rank + nil_class)
+    maps = [identity_endomorphism(ctx), canonical_symmetry(ctx)]
+    maps += [random_automorphism(ctx, rng) for _ in range(3)]
+    for m in range(1, s + 1):
+        maps += [random_k_member(ctx, rng, m) for _ in range(3)]
+        if m < s:
+            maps.append(random_k_member(ctx, rng, m, nontrivial=True))
+    depths = set()
+    for f in maps:
+        weights = [weight(_defect(f, j)) for j in range(rank)]
+        assert [_defect_weight(f, j) for j in range(rank)] == weights
+        expected = min(weights) - 1
+        if expected >= s:
+            expected = s + 1
+        assert k_depth(f) == expected
+        depths.add(expected)
+        for m in range(1, s + 1):
+            assert in_K(f, m) == all(w >= m + 1 for w in weights)
+        assert _is_identity(f) == (f == identity_endomorphism(ctx))
+        assert _is_identity(f) == all(w == s + 1 for w in weights)
+    assert depths == set(range(s)) | {s + 1}
 
 
 def test_sampling_refuses_out_of_range_indices():
