@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import add, mul, neg
 
 from .errors import DomainError, InputError, InternalError, SearchExhausted
 
@@ -55,7 +56,17 @@ def xgcd(a: int, b: int):
 
 
 class IntMatrix:
-    """Immutable integer matrix with exact arithmetic."""
+    """Immutable integer matrix with exact arithmetic.
+
+    `IntMatrix(rows)` is the constructor for outside input: it coerces every
+    entry with `int()` and refuses empty or ragged rows.  Matrices this
+    module computes from checked ones (products, sums, negations,
+    identities, inverses and random unimodular matrices) go through
+    `_trusted`, which stores its argument as the rows unchanged: it must be
+    a nonempty tuple of equal-length tuples of ints.  Such a matrix
+    compares and hashes equal to the checked one built from the same
+    entries.  No other module calls `_trusted`.
+    """
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -69,8 +80,18 @@ class IntMatrix:
             raise InputError("ragged matrix rows")
 
     @classmethod
+    def _trusted(cls, rows) -> "IntMatrix":
+        obj = object.__new__(cls)
+        obj.rows = rows
+        obj.nrows = len(rows)
+        obj.ncols = len(rows[0])
+        return obj
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise InputError("matrix needs at least one row")
+        return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def is_square(self) -> bool:
@@ -92,25 +113,25 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.ncols != other.nrows:
                 raise InputError("matrix shapes do not compose")
-            cols = list(zip(*other.rows))
-            return IntMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+            cols = tuple(zip(*other.rows))
+            return IntMatrix._trusted(
+                tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows)
             )
         # column vector application
         vec = tuple(other)
         if len(vec) != self.ncols:
             raise InputError("vector length does not match")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
+        return tuple([sum(map(mul, row, vec)) for row in self.rows])
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise InputError("matrix shapes differ")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return IntMatrix._trusted(
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         )
 
     def __neg__(self):
-        return IntMatrix([[-a for a in r] for r in self.rows])
+        return IntMatrix._trusted(tuple(tuple(map(neg, r)) for r in self.rows))
 
     def __sub__(self, other):
         return self + (-other)
@@ -178,8 +199,8 @@ class IntMatrix:
         if d not in (1, -1):
             raise DomainError("matrix is not unimodular (det %d)" % d)
         # prev is +-1, so dividing by it is multiplying by it
-        inv = IntMatrix([[prev * x for x in row[n:]] for row in aug])
-        if self @ inv != IntMatrix.identity(n):
+        inv = IntMatrix._trusted(tuple(tuple([prev * x for x in row[n:]]) for row in aug))
+        if not (self @ inv).is_identity():
             raise InternalError("fraction-free inverse does not invert its input")
         return inv
 
@@ -198,7 +219,11 @@ class IntMatrix:
         return out
 
     def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.nrows)
+        # in place: each row i holds a 1 at i and n - 1 zeros
+        n = self.nrows
+        return n == self.ncols and all(
+            row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self.rows)
+        )
 
     def is_central(self) -> bool:
         """Scalar matrix test; in GL(n,Z) the center is {I, -I}."""
@@ -415,9 +440,13 @@ def solve_right(amat: IntMatrix, b):
 
 
 class Sublattice:
-    """A sublattice of Z^n with canonical Hermite-form row basis."""
+    """A sublattice of Z^n with canonical Hermite-form row basis.
 
-    __slots__ = ("ambient", "basis")
+    `pivots[i]` is the column of the leading entry of `basis[i]`, stored
+    once by every constructor.
+    """
+
+    __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, basis_rows):
         rows = [tuple(map(int, r)) for r in basis_rows]
@@ -427,17 +456,19 @@ class Sublattice:
         h = hermite_form(rows)
         if len(h) != len([r for r in rows if any(r)]):
             raise InputError("basis rows are linearly dependent")
-        self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in h)
+        self._set_basis(ambient, h)
 
     @classmethod
     def spanned_by(cls, ambient: int, vectors) -> "Sublattice":
         """Span of arbitrary vectors; dependent generators are allowed."""
-        h = hermite_form([tuple(map(int, v)) for v in vectors])
         obj = object.__new__(cls)
-        obj.ambient = ambient
-        obj.basis = tuple(tuple(r) for r in h)
+        obj._set_basis(ambient, hermite_form([tuple(map(int, v)) for v in vectors]))
         return obj
+
+    def _set_basis(self, ambient, hermite_rows):
+        self.ambient = ambient
+        self.basis = tuple(tuple(r) for r in hermite_rows)
+        self.pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.basis)
 
     @classmethod
     def zero(cls, ambient: int) -> "Sublattice":
@@ -448,16 +479,23 @@ class Sublattice:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
+        """Membership by reduction against the Hermite rows.
+
+        The rows are in echelon order and zero left of their stored pivots,
+        so subtracting a multiple of each row in turn clears its pivot
+        column for good: v lies in the lattice exactly when every division
+        is exact and nothing is left over.
+        """
         v = list(map(int, vec))
         if len(v) != self.ambient:
             raise InputError("vector length does not match ambient dimension")
-        for row in self.basis:
-            piv = next(j for j, x in enumerate(row) if x)
+        for row, piv in zip(self.basis, self.pivots):
             q, r = divmod(v[piv], row[piv])
             if r:
                 return False
             if q:
-                v = [a - q * b for a, b in zip(v, row)]
+                for j in range(piv, self.ambient):
+                    v[j] -= q * row[j]
         return not any(v)
 
     def is_subset(self, other: "Sublattice") -> bool:
@@ -813,17 +851,17 @@ def random_unimodular(rng, n: int, min_factors: int = 5, max_factors: int = 15, 
     """
     if n < 2:
         raise InputError("random unimodular matrices need n >= 2, got %r" % (n,))
-    out = IntMatrix.identity(n)
+    out = [[int(a == b) for b in range(n)] for a in range(n)]
     for _ in range(rng.randint(min_factors, max_factors)):
         i = rng.randrange(n)
         j = rng.randrange(n)
         while j == i:
             j = rng.randrange(n)
         k = rng.choice([x for x in range(-bound, bound + 1) if x])
-        shear = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        shear[i][j] = k
-        out = out @ IntMatrix(shear)
-    return out
+        # right multiplication by I + k E_ij adds k times column i to column j
+        for row in out:
+            row[j] += k * row[i]
+    return IntMatrix._trusted(tuple(map(tuple, out)))
 
 
 def order3_falsifier(mat: IntMatrix, samples: int, rng):

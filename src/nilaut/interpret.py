@@ -210,6 +210,12 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
     Sorts: vectors of Z^n, unimodular matrices, and direct summands
     harvested as fixed-point sublattices of sampled diagonalizable
     involutions.  Every relation tuple is verified at construction.
+
+    Vectors are numbered in the order they are first reached (unit
+    vectors, random samples, then their images under each sampled
+    matrix in turn); one insertion-ordered dict is both the sort and the
+    index the action relation reads, so every relation tuple is a
+    function of the seed.
     """
     if n < 2:
         raise InputError("rank must be at least 2")
@@ -238,20 +244,20 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
                 summands.append(lat)
     if not all(is_direct_summand(s) for s in summands):
         raise InternalError("a harvested eigenlattice is not a direct summand")
-    vectors = []
+    # the vector sort, in insertion order: vector -> its position
+    index = {}
 
-    def add_vector(v):
-        v = tuple(int(x) for x in v)
-        if v not in vectors:
-            vectors.append(v)
+    def add_vector(v):  # v is a tuple of ints
+        index.setdefault(v, len(index))
 
     for i in range(n):
         add_vector(tuple(1 if j == i else 0 for j in range(n)))
     for _ in range(vector_samples):
         add_vector(tuple(rng.randint(-4, 4) for _ in range(n)))
     for mat in auts:
-        for v in list(vectors):
+        for v in list(index):
             add_vector(mat @ v)
+    vectors = list(index)
     membership = []
     for vi, v in enumerate(vectors):
         for si, s in enumerate(summands):
@@ -265,7 +271,6 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
                 inclusion.append((i, j))
             if i < j and relation_R(a, b):
                 complement_pairs.append((i, j))
-    index = {v: i for i, v in enumerate(vectors)}
     action = []
     for mi, mat in enumerate(auts):
         for vi, v in enumerate(vectors):

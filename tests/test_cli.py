@@ -180,3 +180,21 @@ def test_package_has_no_bare_asserts():
             ):
                 found.append("%s:%d" % (os.path.basename(path), node.lineno))
     assert found == []
+
+
+def test_unchecked_matrices_are_built_only_in_glz():
+    # IntMatrix._trusted skips the entry coercion and the shape checks, so
+    # only the module that computes those entries itself may call it
+    pkg = os.path.dirname(os.path.abspath(nilaut.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        if os.path.basename(path) == "glz.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_trusted") or (
+                isinstance(node, ast.Name) and node.id == "_trusted"
+            ):
+                found.append("%s:%d" % (os.path.basename(path), node.lineno))
+    assert found == []

@@ -79,6 +79,70 @@ def test_inverse_unimodular_fraction_free():
         M((1, 0, 0), (0, 1, 0)).inverse_unimodular()
 
 
+def _ref_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _assert_same_matrix(got, ref):
+    # a computed matrix equals, and hashes equal to, the checked one built
+    # from the same entries, and holds plain ints
+    checked = IntMatrix(ref)
+    assert got.rows == tuple(map(tuple, ref))
+    assert (got.nrows, got.ncols) == (checked.nrows, checked.ncols)
+    assert got == checked and hash(got) == hash(checked)
+    assert all(type(x) is int for row in got.rows for x in row)
+
+
+def test_computed_matrices_match_nested_list_reference():
+    rng = random.Random(17)
+    big = 1 << 70
+
+    def entry():
+        return rng.choice([rng.randint(-9, 9), rng.randint(-big, big)])
+
+    def rand(r, c):
+        return [[entry() for _ in range(c)] for _ in range(r)]
+
+    for _ in range(60):
+        r, k, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b, a2 = rand(r, k), rand(k, c), rand(r, k)
+        _assert_same_matrix(IntMatrix(a) @ IntMatrix(b), _ref_mul(a, b))
+        _assert_same_matrix(IntMatrix(a) + IntMatrix(a2), [[x + y for x, y in zip(p, q)] for p, q in zip(a, a2)])
+        _assert_same_matrix(IntMatrix(a) - IntMatrix(a2), [[x - y for x, y in zip(p, q)] for p, q in zip(a, a2)])
+        _assert_same_matrix(-IntMatrix(a), [[-x for x in p] for p in a])
+        _assert_same_matrix(IntMatrix(a).transpose(), [[a[i][j] for i in range(r)] for j in range(k)])
+        vec = [entry() for _ in range(k)]
+        assert IntMatrix(a) @ vec == tuple(sum(x * y for x, y in zip(p, vec)) for p in a)
+    for n in range(1, 6):
+        _assert_same_matrix(IntMatrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)])
+    for n in (2, 3, 5):
+        u = random_unimodular(rng, n)
+        inv = u.inverse_unimodular()
+        assert _ref_mul(u.rows, inv.rows) == [[int(i == j) for j in range(n)] for i in range(n)]
+        for got in (u, inv):
+            _assert_same_matrix(got, [list(row) for row in got.rows])
+    # the checked constructor still coerces and refuses bad shapes
+    coerced = M((True, 2.0))
+    assert coerced.rows == ((1, 2),) and all(type(x) is int for x in coerced.rows[0])
+    for bad in ([], [[1, 2], [3]]):
+        with pytest.raises(InputError):
+            IntMatrix(bad)
+    for n in (0, -1):
+        with pytest.raises(InputError):
+            IntMatrix.identity(n)
+
+
+def test_is_identity():
+    for n in range(1, 6):
+        assert IntMatrix.identity(n).is_identity()
+        assert not (-IntMatrix.identity(n)).is_identity()
+    assert not M((1, 0, 0), (0, 1, 0)).is_identity()
+    assert not M((1, 0), (0, 1), (0, 0)).is_identity()
+    assert not M((1, 0), (0, 2)).is_identity()
+    assert not M((1, 1), (0, 1)).is_identity()
+    assert not M((0, 1), (1, 0)).is_identity()
+
+
 def test_random_unimodular_refuses_n_below_2():
     # a shear needs two distinct indices; n < 2 used to loop forever
     rng = random.Random(5)
@@ -308,6 +372,33 @@ def test_sublattice_basics():
     assert sub.is_subset(sup) and not sup.is_subset(sub)
     assert Sublattice(2, [(1, 1)]).to_json() == {"ambient": 2, "basis": [[1, 1]]}
     assert Sublattice.from_json({"ambient": 2, "basis": [[1, 1]]}) == Sublattice(2, [(1, 1)])
+
+
+def _contains_by_solving(lat, vec):
+    return solve_left(lat.basis, vec) is not None if lat.rank else not any(vec)
+
+
+def test_sublattice_contains_matches_solve_left():
+    rng = random.Random(23)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        rank = rng.randint(1, n)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)]
+        extra = [[rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(rows[0], rows[-1])], [0] * n]
+        lats = [Sublattice.spanned_by(n, rows + extra), Sublattice.zero(n)]
+        if len(hermite_form(rows)) == rank:
+            lats.append(Sublattice(n, rows))
+        lats += [Sublattice.from_json(lat.to_json()) for lat in lats]
+        for lat in lats:
+            assert len(lat.pivots) == lat.rank
+            members = [
+                tuple(sum(c * row[j] for c, row in zip(coeffs, lat.basis)) for j in range(n))
+                for coeffs in ([rng.randint(-3, 3) for _ in lat.basis] for _ in range(5))
+            ]
+            probes = members + [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(10)]
+            for vec in probes:
+                assert lat.contains(vec) == _contains_by_solving(lat, vec)
+            assert all(lat.contains(v) for v in members)
 
 
 def test_summand_examples():

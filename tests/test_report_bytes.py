@@ -49,6 +49,8 @@ CONFIGS = [(suite, 3, 3) for suite in SUITE_NAMES] + [
     ("lemma-2.2", 2, 5),
     ("one-step-down", 2, 4),
     ("proposition-sigma", 2, 4),
+    # the call the `matrices` workload of perfbench times
+    ("interp-M", 3, 2),
 ]
 
 DIGESTS = {
@@ -72,6 +74,7 @@ DIGESTS = {
     "lemma-2.2 (2,5)": "44ae7db10a3597fc597a527445c70d261621891bdc2c034a8f4fa8ad58a3fa7b",
     "one-step-down (2,4)": "fb87f440bb08d4d8db0013614e71ec6b871af3499e11bf6fa3bbd405748c82de",
     "proposition-sigma (2,4)": "7f1adc2e8b8bd535ee985e03a3f7cea52b6c935d47cfbb89e6ba78e925f2b8d3",
+    "interp-M (3,2)": "cf454362d8b0b58798da82a01ea874c8ce5d080ad7c7db28225721d71f36c5d0",
 }
 
 
