@@ -14,6 +14,7 @@ group element x is g -> x g x^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DomainError, InputError, InternalError
 from .glz import IntMatrix
@@ -74,10 +75,12 @@ class Endomorphism:
     it goes: the top degree holds most monomials, and most maps are applied
     to a few elements only, so storing it would cost memory and save no
     work.  When f lies in K_d, every monomial of degree above s - d maps to
-    itself, and its image is a single pair.
+    itself, and its image is a single pair.  `invert_automorphism` scatters
+    through the same images; `_cols` holds the nonzero (index, value) pairs
+    of the abelianized images f(x_j), once `apply` first needs them.
     """
 
-    __slots__ = ("context", "images", "_mon_images", "_inverse")
+    __slots__ = ("context", "images", "_mon_images", "_cols", "_inverse")
 
     def __init__(self, context: GroupContext, images):
         images = tuple(images)
@@ -92,6 +95,7 @@ class Endomorphism:
         self.images = images
         # the empty monomial maps to 1, the root of every image below
         self._mon_images = {0: _UNIT_IMAGE}
+        self._cols = None
         self._inverse = None
 
     def _monomial_image(self, pos):
@@ -128,6 +132,16 @@ class Endomorphism:
             hit = [(lo + i, v) for i, v in enumerate(acc) if v]
         self._mon_images[pos] = hit
         return hit
+
+    def _scatter(self, out, lo, blk):
+        # out += blk[i] times the image of the monomial at lo + i, below degree s
+        for idx, c in enumerate(blk):
+            if c:
+                img = self._mon_images.get(lo + idx)
+                if img is None:
+                    img = self._monomial_image(lo + idx)
+                for p, v in img:
+                    out[p] += c * v
 
     def __eq__(self, other):
         return (
@@ -178,17 +192,11 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
     offsets = ctx._deg_offsets
     out = [0] * offsets[-1]
     out[0] = 1
-    images = f._mon_images
     for deg in range(1, s):
-        lo = offsets[deg]
-        for idx, c in enumerate(src[deg]):
-            if c:
-                img = images.get(lo + idx)
-                if img is None:
-                    img = f._monomial_image(lo + idx)
-                for p, v in img:
-                    out[p] += c * v
-    cols = [[(i, v) for i, v in enumerate(abelianization(img)) if v] for img in f.images]
+        f._scatter(out, offsets[deg], src[deg])
+    if f._cols is None:
+        f._cols = [[(i, v) for i, v in enumerate(abelianization(img)) if v] for img in f.images]
+    cols = f._cols
     top_lo = offsets[s]
     key = offsets[s - 1]
     # the coefficients of w x_1 .. w x_n, for each w of degree s - 1 in turn
@@ -201,7 +209,7 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
                         col[i] += c * v
             terms = [(i + 1, v) for i, v in enumerate(col) if v]
             if terms:
-                img = images.get(key)
+                img = f._mon_images.get(key)
                 if img is None:
                     img = f._monomial_image(key)
                 for p, a in img:
@@ -242,17 +250,9 @@ def is_automorphism(f: Endomorphism):
     return False, None
 
 
-def _defect(f: Endomorphism, j: int) -> GroupElement:
-    # x_j^-1 f(x_j), the deviation of f from the identity at generator j
-    ctx = f.context
-    exps = [0] * ctx.dim
-    exps[j] = -1
-    return multiply(GroupElement(ctx, exps), f.images[j])
-
-
 def _defect_weight(f: Endomorphism, j: int) -> int:
-    # weight(_defect(f, j)), read off the series of f(x_j): with D the
-    # defect, that series is (1 + X_j)(1 + (D - 1)), and X_j (D - 1) starts
+    # the weight of the defect D = x_j^-1 f(x_j), read off the series of
+    # f(x_j): that series is (1 + X_j)(1 + (D - 1)), and X_j (D - 1) starts
     # one degree above D - 1, so the lowest degree where it differs from
     # 1 + X_j is the weight of D, with the block of D - 1 there
     ser = f.images[j]._magnus()
@@ -299,12 +299,24 @@ def in_K(f: Endomorphism, m: int) -> bool:
     return all(_defect_weight(f, j) >= m + 1 for j in range(ctx.rank))
 
 
-def invert_automorphism(f: Endomorphism) -> Endomorphism:
-    """Inverse automorphism via abelianized lift plus filtration refinement.
+def _tensor_power(rows, vec, k):
+    # rows^(x)k applied to vec, whose flat index has k digits in base n:
+    # act on the leading digit, then rotate it to the end, k times
+    m = len(vec) // len(rows)
+    for _ in range(k):
+        vec = [sum(map(mul, row, col)) for col in [vec[lo::m] for lo in range(m)] for row in rows]
+    return vec
 
-    Start from the lift of the inverse abelianized matrix; each round
-    multiplies by an approximate inverse of the residual, which at least
-    doubles its filtration depth, so at most s rounds are needed.
+
+def invert_automorphism(f: Endomorphism) -> Endomorphism:
+    """Inverse automorphism by one block-triangular solve.
+
+    The substitution F of f is block lower-triangular by degree, with
+    degree-k diagonal block A^(x)k for A the abelianized matrix.  So the
+    degree-k block of f^-1(x_j) = F^-1(1 + X_j) is (A^-1)^(x)k, one tensor
+    factor at a time, on that of 1 + X_j minus F of the blocks below, which
+    scatter through the monomial images of f below degree s.  Both one-sided
+    inverse identities are checked.
 
     This is the only writer of the inverse cache: the result is cached on
     f and f is cached on the result, so inverting either one again is a
@@ -316,22 +328,23 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     if not ok:
         raise DomainError("endomorphism is not an automorphism")
     ctx = f.context
-    h = lift_matrix(ctx, cert.abelianized.inverse_unimodular())
-    for _ in range(ctx.nilpotency_class + 1):
-        rho = compose(f, h)
-        if _is_identity(rho):
-            break
-        # rho(x_j) = x_j d_j with d_j deep in the filtration; composing with
-        # x_j -> x_j d_j^-1 pushes the residual at least twice as deep
-        images = []
-        for j in range(ctx.rank):
-            gen_exps = [0] * ctx.dim
-            gen_exps[j] = 1
-            gen = GroupElement(ctx, gen_exps)
-            images.append(multiply(gen, invert(_defect(rho, j))))
-        h = compose(h, Endomorphism(ctx, images))
-    else:
-        raise InternalError("automorphism inversion failed to converge")
+    s = ctx.nilpotency_class
+    offsets = ctx._deg_offsets
+    binv = cert.abelianized.inverse_unimodular().rows
+    images = []
+    for j in range(ctx.rank):
+        # F of the blocks solved so far minus 1 + X_j, laid out flat
+        acc = [0] * offsets[-1]
+        acc[offsets[1] + j] = -1
+        ser = [[1]]
+        for k in range(1, s + 1):
+            ser.append(_tensor_power(binv, [-v for v in acc[offsets[k] : offsets[k + 1]]], k))
+            if k < s:
+                f._scatter(acc, offsets[k], ser[k])
+        images.append(_from_series(ctx, ser))
+    h = Endomorphism(ctx, images)
+    if not _is_identity(compose(f, h)):
+        raise InternalError("the computed inverse is not a right inverse")
     if not _is_identity(compose(h, f)):
         raise InternalError("the computed inverse is only a right inverse")
     f._inverse = h

@@ -794,7 +794,9 @@ def _suite_interp_m(cfg, rec):
                 fails.append({"catalog": "swap", "index": i})
                 break
             wit = order3_falsifier(f, cfg.trials, _trial_rng(cfg.seed, cfg.suite, "fs", i))
-            if wit is None or element_order(wit["a"] @ wit["b"]) != 3:
+            if wit is None:  # a sampled search that finds nothing proves nothing
+                raise SearchExhausted("no order-3 witness for swap matrix %d in %d trials" % (i, cfg.trials))
+            if element_order(wit["a"] @ wit["b"]) != 3:
                 fails.append({"catalog": "swap", "index": i, "matrix": f})
                 break
     rec.add(

@@ -4,7 +4,6 @@ import pytest
 
 from nilaut.automorphisms import (
     Endomorphism,
-    _defect,
     _defect_weight,
     _is_identity,
     abelianization_matrix,
@@ -27,6 +26,7 @@ from nilaut.errors import DomainError, InputError
 from nilaut.glz import IntMatrix, random_unimodular
 from nilaut.nilgroup import (
     GroupContext,
+    GroupElement,
     _series_iadd_scaled,
     _series_mul,
     _unit_series,
@@ -52,6 +52,31 @@ from nilaut.sampling import (
 CTX22 = GroupContext.get(2, 2)
 CTX23 = GroupContext.get(2, 3)
 CTX33 = GroupContext.get(3, 3)
+
+
+def _defect(f, j):
+    # x_j^-1 f(x_j), the deviation of f from the identity at generator j
+    ctx = f.context
+    exps = [0] * ctx.dim
+    exps[j] = -1
+    return multiply(GroupElement(ctx, exps), f.images[j])
+
+
+def _inverse_by_refinement(f):
+    # reference inverse: lift the inverse abelianized matrix, then compose
+    # with x_j -> x_j d_j^-1, d_j the defect of the residual, until the
+    # residual is the identity; each round at least doubles its depth
+    ctx = f.context
+    h = lift_matrix(ctx, abelianization_matrix(f).inverse_unimodular())
+    for _ in range(ctx.nilpotency_class + 1):
+        rho = compose(f, h)
+        if _is_identity(rho):
+            return h
+        images = [
+            multiply(generator(ctx, j + 1), invert(_defect(rho, j))) for j in range(ctx.rank)
+        ]
+        h = compose(h, Endomorphism(ctx, images))
+    raise AssertionError("refinement did not converge")
 
 
 def gamma_example(ctx):
@@ -195,6 +220,30 @@ def test_invert_automorphism():
         invert_automorphism(
             Endomorphism(CTX22, (from_exponents(CTX22, (2, 0, 0)), generator(CTX22, 2)))
         )
+
+
+@pytest.mark.parametrize(
+    "rank,nil_class", [(2, 1), (2, 2), (2, 3), (3, 3), (2, 5), (4, 4), (3, 5), (2, 6)]
+)
+def test_inverse_solve_matches_refinement(rank, nil_class):
+    # the block-triangular solve against the composition loop it replaced,
+    # on random automorphisms, members of every K_m, the canonical symmetry,
+    # an inner automorphism and non-IA lifts
+    ctx = GroupContext.get(rank, nil_class)
+    s = nil_class
+    rng = random.Random(100 * rank + nil_class)
+    maps = [canonical_symmetry(ctx), inner(random_element(ctx, rng, 2))]
+    maps += [lift_matrix(ctx, random_unimodular(rng, rank)) for _ in range(2)]
+    maps += [random_automorphism(ctx, rng) for _ in range(2)]
+    for m in range(1, s + 1):
+        maps.append(random_k_member(ctx, rng, m))
+    for f in maps:
+        fresh = Endomorphism(ctx, f.images)
+        h = invert_automorphism(fresh)
+        assert h == _inverse_by_refinement(f)
+        # the solve stores no monomial image of degree s
+        top = ctx._deg_offsets[s]
+        assert all(pos < top for pos in fresh._mon_images)
 
 
 def test_in_K_examples():

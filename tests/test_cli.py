@@ -118,6 +118,13 @@ def test_failure_and_search_exit_codes(monkeypatch, capsys):
         assert "internal error" in capsys.readouterr().err
 
 
+def test_falsifier_miss_is_a_search_error(capsys):
+    # the order-3 falsifier samples; five trials miss on a swap-class
+    # matrix, which proves nothing about it
+    assert cli.main(["verify", "--suite", "interp-M", "--rank", "3", "--trials", "5", "--seed", "0"]) == 3
+    assert "search error" in capsys.readouterr().err
+
+
 def test_optimized_interpreter_gives_the_same_report(tmp_path):
     # internal invariants raise InternalError explicitly, so `python -O`,
     # which strips bare asserts, runs the same checks and writes the same bytes
