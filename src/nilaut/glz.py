@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from operator import add, mul, neg
 
 from .errors import DomainError, InputError, InternalError, SearchExhausted
@@ -303,101 +304,47 @@ def hermite_form(rows, with_transform=False):
 
 
 def smith_normal_form(mat):
-    """(U, D, V) with U @ M @ V == D diagonal, d_i | d_{i+1}, d_i >= 0."""
-    if isinstance(mat, IntMatrix):
-        a = [list(r) for r in mat.rows]
-    else:
-        a = [list(map(int, r)) for r in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    """(U, D, V) with U @ M @ V == D diagonal, d_i | d_{i+1}, d_i >= 0.
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            a[r][i] -= q * a[r][j]
-        for r in range(n):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    t = 0
+    Built from `hermite_form` alone, after Kannan and Bachem (1979):
+    alternate row and column Hermite forms until the matrix is diagonal.
+    Where some d_i does not divide a later d_j, column j is added to column
+    i, the next row form puts gcd(d_i, d_j) in place of d_i, and the loop
+    goes round again.  Each transform is folded into U or V.
+    """
+    a = IntMatrix(mat.rows if isinstance(mat, IntMatrix) else mat)
+    u, v = IntMatrix.identity(a.nrows), IntMatrix.identity(a.ncols)
     while True:
-        pi = pj = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = abs(a[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pi, pj = i, j
-        if pi is None:
-            break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, m)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-        # enforce divisibility of the remaining block by the pivot
-        piv = a[t][t]
-        culprit = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % piv:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            row_op(t, culprit, -1)  # add the culprit row to the pivot row
+        _, full, t = hermite_form(a.rows, with_transform=True)
+        u = IntMatrix(t) @ u
+        _, full, t = hermite_form(zip(*full), with_transform=True)
+        v = v @ IntMatrix(t).transpose()
+        a = IntMatrix(full).transpose()
+        if any(x for i, row in enumerate(a.rows) for j, x in enumerate(row) if i != j):
             continue
-        if piv < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-        if t == min(m, n):
-            break
-    return IntMatrix(u) if m else None, IntMatrix(a) if m else None, IntMatrix(v) if n else None
+        # the column form leaves the zero columns last
+        d = [x for x in (a.rows[i][i] for i in range(min(a.nrows, a.ncols))) if x]
+        bad = next(((i, j) for i, j in combinations(range(len(d)), 2) if d[j] % d[i]), None)
+        if bad is None:
+            return u, a, v
+        i, j = bad
+        # right multiplication by I + E_ji adds column j to column i
+        add = IntMatrix(
+            [[int(r == c or (r, c) == (j, i)) for c in range(a.ncols)] for r in range(a.ncols)]
+        )
+        a, v = a @ add, v @ add
 
 
 def kernel_basis(mat: IntMatrix):
-    """Canonical (Hermite-form) row basis of {x : M x == 0}, saturated."""
-    u, d, v = smith_normal_form(mat)
-    rank = 0
-    for i in range(min(d.nrows, d.ncols)):
-        if d.rows[i][i]:
-            rank += 1
-    cols = [tuple(v.rows[r][j] for r in range(v.nrows)) for j in range(rank, v.ncols)]
-    return [tuple(r) for r in hermite_form(cols)] if cols else []
+    """Canonical (Hermite-form) row basis of {x : M x == 0}, saturated.
+
+    With T @ M^T the row Hermite form of M^T, the rows of T beside its zero
+    rows solve M x == 0.  T is unimodular, so they span the whole kernel,
+    not a sublattice of finite index in it.
+    """
+    h, _, t = hermite_form(zip(*mat.rows), with_transform=True)
+    kern = t[len(h):]
+    return [tuple(r) for r in hermite_form(kern)] if kern else []
 
 
 def solve_left(amat, b):
@@ -426,12 +373,6 @@ def solve_left(amat, b):
         if c:
             out = [a + c * x for a, x in zip(out, t[i])]
     return tuple(out)
-
-
-def solve_right(amat: IntMatrix, b):
-    """y with A @ y == b over the integers, or None."""
-    x = solve_left([list(r) for r in amat.transpose().rows], tuple(b))
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -524,24 +465,38 @@ class Sublattice:
         return cls(data["ambient"], data["basis"])
 
 
+def _summand_transform(rows):
+    """Unimodular T with T @ B^T == [I_r; 0] for the r rows B, or None.
+
+    T exists exactly when the Hermite form of the columns of B is I_r, that
+    is when B maps Z^n onto Z^r and its rows extend to a basis of Z^n
+    (Cohen, A Course in Computational Algebraic Number Theory, 1993, 2.4).
+    """
+    h, _, t = hermite_form(zip(*rows), with_transform=True)
+    r = len(rows)
+    return t if h == [[int(i == j) for j in range(r)] for i in range(r)] else None
+
+
 def is_direct_summand(lat: Sublattice) -> bool:
-    """True when Z^n splits off the sublattice (unit elementary divisors)."""
-    if lat.rank == 0:
-        return True
-    _, d, _ = smith_normal_form(list(map(list, lat.basis)))
-    return all(d.rows[i][i] == 1 for i in range(lat.rank))
+    """True when Z^n splits off the sublattice: its Hermite basis rows map
+    Z^n onto Z^r, so they extend to a basis of Z^n."""
+    return lat.rank == 0 or _summand_transform(lat.basis) is not None
 
 
 def find_complement(lat: Sublattice):
-    """A complementary direct summand, or None when lat is not a summand."""
+    """A complementary direct summand, or None when lat is not a summand.
+
+    From T @ B^T == [I_r; 0] follows B == [I_r 0] @ W with W = (T^-1)^T, so
+    the rows of W after the first r complete the basis rows B.
+    """
     n = lat.ambient
     if lat.rank == 0:
         return Sublattice(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    _, d, v = smith_normal_form(list(map(list, lat.basis)))
-    if not all(d.rows[i][i] == 1 for i in range(lat.rank)):
+    t = _summand_transform(lat.basis)
+    if t is None:
         return None
-    w = v.inverse_unimodular()
-    return Sublattice(n, [w.rows[i] for i in range(lat.rank, n)])
+    w = IntMatrix(t).inverse_unimodular().transpose()
+    return Sublattice(n, w.rows[lat.rank:])
 
 
 def relation_R(b: Sublattice, c: Sublattice) -> bool:
@@ -916,10 +871,13 @@ def _primitive_part(vec):
 def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
     """Split Z^n into invariant B (+) C with rank B == 2 and f|_B non-central.
 
-    Diagonalizable involutions pair one fixed with one negated basis vector;
-    otherwise a swap plane <x, f x> that is itself a basis of a summand is
-    located among the index-2 classes of Fix (+) Neg, and its complement is
-    cut out by an equivariant pair of integer functionals.
+    Diagonalizable involutions pair one fixed with one negated basis vector.
+    Otherwise Fix (+) Neg has index 2^r in Z^n with r >= 1, and x0 is the
+    first standard basis vector outside it.  Both x0 + f x0 and x0 - f x0
+    have odd content, so shifting x0 by multiples of their primitive parts
+    gives an x for which (x, f x) is the basis of a summand, the swap plane.
+    The first row lambda of that plane's summand transform takes x to 1 and
+    f x to 0; the complement is the common kernel of lambda and lambda f.
     """
     if not f.is_square:
         raise InputError("expected a square matrix")
@@ -944,14 +902,10 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         restriction = DIAG_REP
         split = InvariantSplitting(b, c, restriction, frame)
     else:
-        # swap block present: Fix (+) Neg has index 2^r, r >= 1, and every
-        # elementary divisor is 1 or 2 because 2x = (x + fx) + (x - fx)
-        _, d, v = smith_normal_form(list(stacked.rows))
-        w = v.inverse_unimodular()
-        divisors = [d.rows[i][i] for i in range(n)]
-        if any(x not in (1, 2) for x in divisors):
-            raise InternalError("elementary divisor of Fix (+) Neg outside {1, 2}")
-        x0 = tuple(w.rows[divisors.index(2)])
+        # swap block present: Fix (+) Neg has index 2^r, r >= 1, so some
+        # standard basis vector lies outside it
+        fix_neg = Sublattice(n, stacked.rows)
+        x0 = next(e for e in eye.rows if not fix_neg.contains(e))
         fx0 = f @ x0
         u_full = tuple(a + b for a, b in zip(x0, fx0))
         w_full = tuple(a - b for a, b in zip(x0, fx0))
@@ -966,13 +920,12 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         )
         fx = f @ x
         # now x + fx and x - fx are primitive, which forces <x, fx> to be a
-        # saturated plane with basis (x, fx)
-        _, dxy, _ = smith_normal_form([list(x), list(fx)])
-        if dxy.rows[0][0] != 1 or dxy.rows[1][1] != 1:
+        # saturated plane with basis (x, fx); the first row of its summand
+        # transform is a functional taking x to 1 and f x to 0
+        t = _summand_transform([x, fx])
+        if t is None:
             raise InternalError("the swap plane <x, f x> is not saturated")
-        lam = solve_right(IntMatrix([list(x), list(fx)]), (1, 0))
-        if lam is None:
-            raise InternalError("no functional separates x from f x")
+        lam = t[0]
         mu = (IntMatrix([list(lam)]) @ f).rows[0]
         c_rows = kernel_basis(IntMatrix([list(lam), list(mu)]))
         b = Sublattice(n, [x, fx])

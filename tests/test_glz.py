@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -310,11 +312,23 @@ def test_smith_normal_form():
     assert d.is_identity()
     u, d, v = smith_normal_form([[2, 4]])
     assert d.rows == ((2, 0),)
+    # f + I for a harvested involution f of build_structure_M(4, Random(1)):
+    # a Smith elimination that pivots on the smallest entry grows these
+    # entries to millions of bits within 31 row operations
+    blowup = [
+        [-753810, 1136400, 7814644, 2394016],
+        [242780, -365998, -2516860, -771040],
+        [-88754, 133800, 920100, 281872],
+        [-62884, 94800, 651908, 199714],
+    ]
+    u, d, v = smith_normal_form(blowup)
+    assert d == M((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 0))
     rng = random.Random(13)
-    for _ in range(60):
-        r = rng.randint(1, 4)
-        c = rng.randint(1, 4)
-        mat = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
+    for mat in [blowup] + [
+        [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
+        for r, c in ((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(60))
+    ]:
+        r, c = len(mat), len(mat[0])
         u, d, v = smith_normal_form(mat)
         assert u.det() in (1, -1) and v.det() in (1, -1)
         assert u @ IntMatrix(mat) @ v == d
@@ -437,6 +451,89 @@ def test_summand_brute_force_oracle():
                 assert comp is None
 
 
+def _det_by_expansion(rows):
+    """Laplace expansion along the first row: a determinant with no elimination."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det_by_expansion([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def _minors(rows, r):
+    """Every r x r minor of the rows, by expansion."""
+    return [
+        _det_by_expansion([[row[j] for j in cols] for row in sub])
+        for sub in combinations(rows, r)
+        for cols in combinations(range(len(rows[0])), r)
+    ]
+
+
+def _in_integer_span(basis, vec):
+    """Whether vec is an integer combination of the independent basis rows,
+    by Cramer's rule on a nonzero maximal minor."""
+    if not basis:
+        return not any(vec)
+    cols = next(
+        cols
+        for cols in combinations(range(len(vec)), len(basis))
+        if _det_by_expansion([[row[j] for j in cols] for row in basis])
+    )
+    sub = [[row[j] for j in cols] for row in basis]
+    d = _det_by_expansion(sub)
+    coeffs = []
+    for i in range(len(basis)):
+        num = _det_by_expansion(sub[:i] + [[vec[j] for j in cols]] + sub[i + 1:])
+        if num % d:
+            return False
+        coeffs.append(num // d)
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(len(vec))) == vec
+
+
+def test_kernel_basis_against_references():
+    # rank by minors and the kernel by exhaustive search in a box: neither
+    # reference uses an elimination
+    rng = random.Random(61)
+    for _ in range(120):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            k = rng.randint(-2, 2)
+            rows.append([2 * a + k * b for a, b in zip(rows[0], rows[-1])])
+        mat = IntMatrix(rows)
+        kern = kernel_basis(mat)
+        rank = max(r for r in range(min(len(rows), n) + 1) if any(_minors(rows, r)))
+        assert len(kern) == n - rank
+        assert all(not any(mat @ k) for k in kern)
+        for vec in product(range(-4, 5), repeat=n):
+            if not any(mat @ vec):
+                assert _in_integer_span(kern, vec)
+
+
+def test_summands_against_minors():
+    # B extends to a basis of Z^n exactly when its maximal minors have gcd 1
+    rng = random.Random(62)
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        r = rng.randint(1, n)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        minors = _minors(rows, r)
+        if not any(minors):
+            continue
+        lat = Sublattice(n, rows)
+        unit = math.gcd(*minors) == 1
+        verdicts.add(unit)
+        assert is_direct_summand(lat) == unit
+        comp = find_complement(lat)
+        assert (comp is not None) == unit
+        if unit:
+            assert relation_R(lat, comp)
+    assert verdicts == {True, False}
+
+
 def test_kernel_basis_saturated():
     mat = M((0, 0, 0), (0, 0, -2), (0, -2, 0))
     rows = kernel_basis(mat)
@@ -513,6 +610,15 @@ def test_invariant_splitting_examples():
     assert split.restriction == SWAP_REP
     _check_splitting(f, split)
 
+    # x0 = e1 lies outside Fix (+) Neg and is already the x of the swap
+    # plane, with f x = e2; the functional lambda = e1* takes x to 1 and
+    # f x to 0, and C is the common kernel of lambda and lambda f = (0, 1, 1)
+    f = M((0, 1, 1), (1, 0, -1), (0, 0, 1))
+    split = invariant_splitting(f)
+    assert split.b == Sublattice(3, [(1, 0, 0), (0, 1, 0)])
+    assert split.c == Sublattice(3, [(0, 1, -1)])
+    _check_splitting(f, split)
+
 
 def test_invariant_splitting_random_conjugates():
     rng = random.Random(41)
@@ -526,5 +632,19 @@ def test_invariant_splitting_random_conjugates():
             q = random_unimodular(rng, 3)
             f = q @ f0 @ q.inverse_unimodular()
             _check_splitting(f, invariant_splitting(f))
+    # one to three swap blocks, the other diagonal entries +-1 at random
+    for n in range(2, 7):
+        for blocks in range(1, min(3, n // 2) + 1):
+            for _ in range(56):
+                rows = [[0] * n for _ in range(n)]
+                for i in range(blocks):
+                    rows[2 * i][2 * i + 1] = rows[2 * i + 1][2 * i] = 1
+                for i in range(2 * blocks, n):
+                    rows[i][i] = rng.choice((1, -1))
+                q = random_unimodular(rng, n)
+                f = q @ IntMatrix(rows) @ q.inverse_unimodular()
+                split = invariant_splitting(f)
+                _check_splitting(f, split)
+                assert split.restriction == SWAP_REP
     with pytest.raises(DomainError):
         invariant_splitting(IntMatrix.identity(2))

@@ -177,15 +177,16 @@ def _structure_digest(st):
 
 
 # sha256 of the whole structure: vector order, summands, and every membership,
-# inclusion, complement and action tuple.  Rank 4 pins seeds 0 and 2: at
-# seed 1 the Smith normal form of one harvested involution's eigenspace
-# equation blows its entries up and the build does not finish.
+# inclusion, complement and action tuple.  At rank 4, seed 1 harvests an
+# involution f with entries near 10^7; its eigenspace equation f + I is the
+# large-entry input of test_glz.test_smith_normal_form.
 STRUCTURE_DIGESTS = {
     (2, 0): "4dbb334590bcae108f4a3a01d7983da55d53517d276c5a9213565cf74ae46531",
     (2, 1): "5de88ae3e52b14f82cc3d93541cc2dd0c55b0b4ffdff26cc38262be2965ae924",
     (3, 0): "9575bf1d947a0d2ddd452f8dbcfaa3bb84dd2384495e9543cee8dc918dd5683a",
     (3, 1): "786eafe6b073f37d9678f3a31a285f30b0882c7f374726b6618ad2b54ae78671",
     (4, 0): "b50547f629a334ac6e9bf64dd20650f2ae265d11099036552a955f9521819016",
+    (4, 1): "0ea1151c613220295c055cb90d0e96bd79341dbdd27afafa358a57cb7b6f244e",
     (4, 2): "ef54594a1c15ad3c97792646fdef56d13eca62c49b295eb572906471e10ce329",
 }
 

@@ -1,4 +1,5 @@
-"""Golden report bytes: pinned digests of canonical reports at seed 0.
+"""Golden report bytes: pinned digests of canonical reports, at seed 0
+unless SEEDS_AT names another.
 
 Each digest is the sha256 of `Report.to_canonical_json()` with the
 `version` field removed, so a release bump does not move it.  A change
@@ -39,6 +40,12 @@ TRIALS_AT = {
     ("proposition-sigma", 2, 4): 3,
 }
 
+# rank-4 interp-M at seed 3 harvests involutions with entries up to 3 * 10^6,
+# the inputs that decide whether the lattice layer keeps its entries small
+SEEDS_AT = {
+    ("interp-M", 4, 2): 3,
+}
+
 CONFIGS = [(suite, 3, 3) for suite in SUITE_NAMES] + [
     ("group-axioms", 2, 2),
     ("one-step-down", 2, 2),
@@ -51,6 +58,7 @@ CONFIGS = [(suite, 3, 3) for suite in SUITE_NAMES] + [
     ("proposition-sigma", 2, 4),
     # the call the `matrices` workload of perfbench times
     ("interp-M", 3, 2),
+    ("interp-M", 4, 2),
 ]
 
 DIGESTS = {
@@ -75,12 +83,14 @@ DIGESTS = {
     "one-step-down (2,4)": "fb87f440bb08d4d8db0013614e71ec6b871af3499e11bf6fa3bbd405748c82de",
     "proposition-sigma (2,4)": "7f1adc2e8b8bd535ee985e03a3f7cea52b6c935d47cfbb89e6ba78e925f2b8d3",
     "interp-M (3,2)": "cf454362d8b0b58798da82a01ea874c8ce5d080ad7c7db28225721d71f36c5d0",
+    "interp-M (4,2)": "992d3a9a7c64ee3a4bdeeb02b0be5ce2abdcc16b1864ecdf928914a77da66775",
 }
 
 
 def report_digest(suite, rank, nil_class):
     trials = TRIALS_AT.get((suite, rank, nil_class), TRIALS[suite])
-    cfg = SuiteConfig(suite, rank=rank, nil_class=nil_class, trials=trials, seed=0)
+    seed = SEEDS_AT.get((suite, rank, nil_class), 0)
+    cfg = SuiteConfig(suite, rank=rank, nil_class=nil_class, trials=trials, seed=seed)
     payload = json.loads(run_suite(cfg).to_canonical_json())
     del payload["version"]
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -91,5 +101,5 @@ def report_digest(suite, rank, nil_class):
 def test_report_bytes_are_pinned(suite, rank, nil_class):
     key = "%s (%d,%d)" % (suite, rank, nil_class)
     assert report_digest(suite, rank, nil_class) == DIGESTS[key], (
-        "report bytes changed for %s, seed 0" % key
+        "report bytes changed for %s, seed %d" % (key, SEEDS_AT.get((suite, rank, nil_class), 0))
     )
