@@ -34,6 +34,7 @@ __all__ = [
     "is_direct_summand",
     "find_complement",
     "relation_R",
+    "involution_eigenlattices",
     "is_diagonalizable_involution",
     "order3_falsifier",
     "invariant_splitting",
@@ -552,22 +553,6 @@ def element_order(mat: IntMatrix):
     return None
 
 
-def _primitive_kernel_vector2(m: IntMatrix):
-    a, b = m.rows[0]
-    c, d = m.rows[1]
-    if a or b:
-        vec = (b, -a)
-    elif c or d:
-        vec = (d, -c)
-    else:
-        return None  # whole plane
-    g = math.gcd(vec[0], vec[1])
-    vec = (vec[0] // g, vec[1] // g)
-    if vec[0] < 0 or (vec[0] == 0 and vec[1] < 0):
-        vec = (-vec[0], -vec[1])
-    return vec
-
-
 def classify_involution2(mat: IntMatrix):
     """Conjugacy class of a 2x2 integer involution with an explicit witness.
 
@@ -584,9 +569,10 @@ def classify_involution2(mat: IntMatrix):
         return InvolutionClass.PLUS_IDENTITY, IntMatrix.identity(2)
     if mat == -IntMatrix.identity(2):
         return InvolutionClass.MINUS_IDENTITY, IntMatrix.identity(2)
+    # a non-central involution fixes a line and negates a line
     eye = IntMatrix.identity(2)
-    u = _primitive_kernel_vector2(mat - eye)
-    v = _primitive_kernel_vector2(mat + eye)
+    (u,) = kernel_basis(mat - eye)
+    (v,) = kernel_basis(mat + eye)
     dd = u[0] * v[1] - u[1] * v[0]
     if abs(dd) == 1:
         cls = InvolutionClass.DIAGONAL
@@ -637,11 +623,9 @@ class SuccessorRecord:
     matrix: IntMatrix
 
 
-def _search_order(bound: int):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
+def _search_order(m_range):
+    """The parameters of m_range in the order 0, 1, -1, 2, -2, ..."""
+    return sorted(range(m_range[0], m_range[1] + 1), key=lambda m: (abs(m), m < 0))
 
 
 def noncentral_successor(
@@ -663,11 +647,8 @@ def noncentral_successor(
     if s.is_central():
         raise DomainError("walk input must be non-central")
     sinv = s.inverse_unimodular()
-    bound = max(abs(m_range[0]), abs(m_range[1]))
     for orientation in ("lower", "upper"):
-        for m in _search_order(bound):
-            if not m_range[0] <= m <= m_range[1]:
-                continue
+        for m in _search_order(m_range):
             j = _family_matrix(parity, m, orientation)
             cand = j @ s @ j @ (s if mode == "X" else sinv)
             if not cand.is_central():
@@ -752,40 +733,40 @@ def noncentral_walk_certificate(
     if parity not in ("even", "odd"):
         raise InputError("parity must be 'even' or 'odd'")
     p = WALK_CERT_MODULUS
-    cur = tuple(tuple(x % p for x in row) for row in s0.rows)
-    bound = max(abs(m_range[0]), abs(m_range[1]))
-    mats = []
+
+    def residues(mat):
+        return tuple(tuple(x % p for x in row) for row in mat.rows)
+
+    # the family matrices mod p, in the search order of noncentral_successor
+    family = [
+        (orientation, m, residues(_family_matrix(parity, m, orientation)))
+        for orientation in ("lower", "upper")
+        for m in _search_order(m_range)
+    ]
+    cur = residues(s0)
     records = []
     for k in range(steps):
         mode = "Y" if k % 2 == 0 else "X"
         second = cur if mode == "X" else _mod_inv2(cur, det, p)
-        found = None
-        for orientation in ("lower", "upper"):
-            for m in _search_order(bound):
-                if not m_range[0] <= m <= m_range[1]:
-                    continue
-                kk = 2 * m if parity == "even" else 2 * m - 1
-                if orientation == "lower":
-                    j = ((1, 0), (kk % p, p - 1))
-                else:
-                    j = ((1, kk % p), (0, p - 1))
-                cand = _mod_mul2(_mod_mul2(_mod_mul2(j, cur, p), j, p), second, p)
-                if not _mod_is_central2(cand, p):
-                    found = SuccessorRecord(m, parity, orientation, mode, IntMatrix(cand))
-                    break
-            if found is not None:
+        for orientation, m, j in family:
+            cand = _mod_mul2(_mod_mul2(_mod_mul2(j, cur, p), j, p), second, p)
+            if not _mod_is_central2(cand, p):
                 break
-        if found is None:
+        else:
             raise SearchExhausted("no certified non-central successor at step %d" % k)
-        cur = tuple(tuple(x % p for x in row) for row in found.matrix.rows)
-        det = 1
-        mats.append(found.matrix)
-        records.append(found)
-    return mats, records
+        records.append(SuccessorRecord(m, parity, orientation, mode, IntMatrix(cand)))
+        # every later term has determinant 1
+        cur, det = cand, 1
+    return [rec.matrix for rec in records], records
 
 
-def is_diagonalizable_involution(mat: IntMatrix) -> bool:
-    """Whether Z^n is the direct sum of the fixed and negated sublattices."""
+def involution_eigenlattices(mat: IntMatrix):
+    """(fix, neg, splits) for an involution of Z^n.
+
+    fix and neg are the kernel_basis rows of mat - I and mat + I, the fixed
+    and negated sublattices; splits says whether Z^n is their direct sum.
+    An involution is diagonalizable over Q, so their ranks add up to n.
+    """
     if not mat.is_square:
         raise InputError("expected a square matrix")
     if not (mat @ mat).is_identity():
@@ -794,9 +775,13 @@ def is_diagonalizable_involution(mat: IntMatrix) -> bool:
     fix = kernel_basis(mat - eye)
     neg = kernel_basis(mat + eye)
     if len(fix) + len(neg) != mat.nrows:
-        return False
-    stacked = IntMatrix(list(fix) + list(neg))
-    return stacked.det() in (1, -1)
+        raise InternalError("eigenlattices of an involution must span rationally")
+    return fix, neg, IntMatrix(fix + neg).det() in (1, -1)
+
+
+def is_diagonalizable_involution(mat: IntMatrix) -> bool:
+    """Whether Z^n is the direct sum of the fixed and negated sublattices."""
+    return involution_eigenlattices(mat)[2]
 
 
 def random_unimodular(rng, n: int, min_factors: int = 5, max_factors: int = 15, bound: int = 3) -> IntMatrix:
@@ -879,33 +864,19 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
     The first row lambda of that plane's summand transform takes x to 1 and
     f x to 0; the complement is the common kernel of lambda and lambda f.
     """
-    if not f.is_square:
-        raise InputError("expected a square matrix")
-    n = f.nrows
-    if not (f @ f).is_identity():
-        raise DomainError("matrix is not an involution")
+    fix, neg, splits = involution_eigenlattices(f)
     if f.is_central():
         raise DomainError("splitting needs a non-central involution")
-    eye = IntMatrix.identity(n)
-    fix = kernel_basis(f - eye)
-    neg = kernel_basis(f + eye)
-    if len(fix) + len(neg) != n:
-        raise InternalError("eigenlattices of an involution must span rationally")
-    stacked = IntMatrix(list(fix) + list(neg))
-    if stacked.det() in (1, -1):
+    n = f.nrows
+    if splits:
         b_rows = [fix[0], neg[0]]
-        c_rows = list(fix[1:]) + list(neg[1:])
-        b = Sublattice(n, b_rows)
-        c = Sublattice(n, c_rows) if c_rows else Sublattice.zero(n)
-        frame_cols = b_rows + c_rows
-        frame = IntMatrix(frame_cols).transpose()
+        c_rows = fix[1:] + neg[1:]
         restriction = DIAG_REP
-        split = InvariantSplitting(b, c, restriction, frame)
     else:
         # swap block present: Fix (+) Neg has index 2^r, r >= 1, so some
         # standard basis vector lies outside it
-        fix_neg = Sublattice(n, stacked.rows)
-        x0 = next(e for e in eye.rows if not fix_neg.contains(e))
+        fix_neg = Sublattice(n, fix + neg)
+        x0 = next(e for e in IntMatrix.identity(n).rows if not fix_neg.contains(e))
         fx0 = f @ x0
         u_full = tuple(a + b for a, b in zip(x0, fx0))
         w_full = tuple(a - b for a, b in zip(x0, fx0))
@@ -927,13 +898,15 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
             raise InternalError("the swap plane <x, f x> is not saturated")
         lam = t[0]
         mu = (IntMatrix([list(lam)]) @ f).rows[0]
+        b_rows = [x, fx]
         c_rows = kernel_basis(IntMatrix([list(lam), list(mu)]))
-        b = Sublattice(n, [x, fx])
-        c = Sublattice(n, c_rows) if c_rows else Sublattice.zero(n)
-        frame_cols = [x, fx] + list(c_rows)
-        frame = IntMatrix(frame_cols).transpose()
         restriction = SWAP_REP
-        split = InvariantSplitting(b, c, restriction, frame)
+    split = InvariantSplitting(
+        Sublattice(n, b_rows),
+        Sublattice(n, c_rows) if c_rows else Sublattice.zero(n),
+        restriction,
+        IntMatrix(b_rows + c_rows).transpose(),
+    )
     # the frame must be a basis adapted to the splitting
     if split.frame.det() not in (1, -1):
         raise InternalError("splitting frame is not unimodular")

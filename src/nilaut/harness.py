@@ -14,6 +14,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, is_dataclass
+from itertools import chain
 
 from . import __version__
 from .errors import InputError, SearchExhausted
@@ -24,6 +25,7 @@ from .glz import (
     IntMatrix,
     InvolutionClass,
     Sublattice,
+    _family_matrix,
     classify_involution2,
     element_order,
     find_complement,
@@ -190,6 +192,21 @@ class _Recorder:
         return all(c["passed"] for c in self.checks)
 
 
+def _first_failure(cases):
+    """Run a lazy iterable of cases up to and including the first failure.
+
+    Each case is its witness, or None when it passes.  Returns (count,
+    witness): the number of cases run and the first witness, or the number
+    of cases and None when every case passes.
+    """
+    count, witness = 0, None
+    for witness in cases:
+        count += 1
+        if witness is not None:
+            break
+    return count, witness
+
+
 def _check(cfg, rec, label, trials, trial_fn, name, statement, certificate=None):
     """Record one check that runs trial_fn(rng, t) for t in range(trials).
 
@@ -197,13 +214,10 @@ def _check(cfg, rec, label, trials, trial_fn, name, statement, certificate=None)
     first trial that returns a witness (not None) fails the check and ends
     the loop.  The recorded trial count is the number of trials run.
     """
-    witness = None
-    for t in range(trials):
-        witness = trial_fn(_trial_rng(cfg.seed, cfg.suite, label, t), t)
-        if witness is not None:
-            trials = t + 1
-            break
-    rec.add(name, statement, witness is None, trials, witness=witness, certificate=certificate)
+    count, witness = _first_failure(
+        trial_fn(_trial_rng(cfg.seed, cfg.suite, label, t), t) for t in range(trials)
+    )
+    rec.add(name, statement, witness is None, count, witness=witness, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -449,31 +463,31 @@ def _suite_proposition_sigma(cfg, rec):
     )
 
     if cfg.rank == 2:
-        fails = []
-        count = 0
-        rng_cat = _trial_rng(cfg.seed, cfg.suite, "catalog")
-        for base_name, base in (("diagonal", DIAG_REP), ("swap", SWAP_REP)):
-            catalog = [lift_matrix(ctx, base)]
-            for _ in range(10):
-                c = random_automorphism(ctx, rng_cat)
-                catalog.append(conjugate(c, lift_matrix(ctx, base)))
-            for i, theta in enumerate(catalog):
-                count += 1
-                wit = find_nontrivial_witness(theta, cfg.m_range)
-                ok = wit is not None and not wit.final_abelianization.is_identity()
-                if ok:
-                    ok = not abelianization_matrix(wit.trace.terms[-1]).is_identity()
-                if not ok:
-                    fails.append({"class": base_name, "index": i, "theta": theta})
-                    break
-            if fails:
-                break
+
+        def catalogue():
+            # the swap catalogue is drawn only after the diagonal one passed
+            rng_cat = _trial_rng(cfg.seed, cfg.suite, "catalog")
+            for base_name, base in (("diagonal", DIAG_REP), ("swap", SWAP_REP)):
+                catalog = [lift_matrix(ctx, base)]
+                for _ in range(10):
+                    c = random_automorphism(ctx, rng_cat)
+                    catalog.append(conjugate(c, lift_matrix(ctx, base)))
+                for i, theta in enumerate(catalog):
+                    wit = find_nontrivial_witness(theta, cfg.m_range)
+                    certified = (
+                        wit is not None
+                        and not wit.final_abelianization.is_identity()
+                        and not abelianization_matrix(wit.trace.terms[-1]).is_identity()
+                    )
+                    yield None if certified else {"class": base_name, "index": i, "theta": theta}
+
+        count, witness = _first_failure(catalogue())
         rec.add(
             "converse-witnesses",
             "every catalogued non-symmetry involution admits a recursion instance whose final term is certified non-trivial by its abelianization",
-            not fails,
+            witness is None,
             count,
-            witness=fails[0] if fails else None,
+            witness=witness,
         )
 
         if s == 2:
@@ -495,50 +509,47 @@ def _suite_proposition_sigma(cfg, rec):
                 witness=None if ok else {"witness": wit},
             )
 
-        clean = []
         rng_sym = _trial_rng(cfg.seed, cfg.suite, "no-witness")
         sym_pool = [canonical_symmetry(ctx)] + [
             conjugated_symmetry(ctx, rng_sym) for _ in range(4)
         ]
-        for i, theta in enumerate(sym_pool):
-            if find_nontrivial_witness(theta, cfg.m_range) is not None:
-                clean.append({"index": i, "theta": theta})
-                break
+        _, witness = _first_failure(
+            None if find_nontrivial_witness(theta, cfg.m_range) is None else {"index": i, "theta": theta}
+            for i, theta in enumerate(sym_pool)
+        )
         rec.add(
             "no-witness-for-symmetries",
             "the witness search returns nothing for exact symmetries and their conjugates",
-            not clean,
+            witness is None,
             len(sym_pool),
-            witness=clean[0] if clean else None,
+            witness=witness,
         )
 
 
 def _suite_eq2(cfg, rec):
     lo, hi = cfg.m_range
-    fails = []
-    count = 0
-    for m in range(lo, hi + 1):
+
+    def family(m, parity, rep, want):
+        mat = _family_matrix(parity, m)
+        cls, p = classify_involution2(mat)
+        if not (cls is want and p @ rep @ p.inverse_unimodular() == mat):
+            return {"m": m, "parity": parity, "matrix": mat}
+
+    count, witness = _first_failure(
+        family(m, parity, rep, want)
+        for m in range(lo, hi + 1)
         for parity, rep, want in (
             ("even", DIAG_REP, InvolutionClass.DIAGONAL),
             ("odd", SWAP_REP, InvolutionClass.SWAP),
-        ):
-            k = 2 * m if parity == "even" else 2 * m - 1
-            mat = IntMatrix([[1, 0], [k, -1]])
-            cls, p = classify_involution2(mat)
-            count += 1
-            ok = cls is want and p @ rep @ p.inverse_unimodular() == mat
-            if not ok:
-                fails.append({"m": m, "parity": parity, "matrix": mat})
-                break
-        if fails:
-            break
+        )
+    )
     rec.add(
         "family-conjugacy",
         "the lower-unipotent involution families are conjugate to the diagonal and swap representatives, with explicit conjugators",
-        not fails,
+        witness is None,
         count,
         certificate={"identities_verified": count},
-        witness=fails[0] if fails else None,
+        witness=witness,
     )
 
     def roundtrip(rng, t):
@@ -560,14 +571,18 @@ def _suite_eq2(cfg, rec):
     )
 
 
-def _sample_noncentral_nontriangular(rng):
+def _sample_noncentral(rng):
     while True:
         s = random_unimodular(rng, 2)
-        if s.is_central():
-            continue
-        if s.rows[0][1] == 0 or s.rows[1][0] == 0:
-            continue
-        return s
+        if not s.is_central():
+            return s
+
+
+def _sample_noncentral_nontriangular(rng):
+    while True:
+        s = _sample_noncentral(rng)
+        if s.rows[0][1] and s.rows[1][0]:
+            return s
 
 
 def _suite_xy_linearity(cfg, rec):
@@ -626,13 +641,6 @@ def _suite_walk(cfg, rec):
     )
 
 
-def _sample_noncentral(rng):
-    while True:
-        s = random_unimodular(rng, 2)
-        if not s.is_central():
-            return s
-
-
 def _suite_one_step_down(cfg, rec):
     ctx = GroupContext.get(cfg.rank, cfg.nil_class)
     s = cfg.nil_class
@@ -689,69 +697,54 @@ def _suite_one_step_down(cfg, rec):
         "products of two sampled symmetries commute exactly with next-to-last layer members",
     )
 
-    fails = []
-    count = 0
-    for n in (2, 3, 4):
-        for cls in (2, 3):
-            fctx = GroupContext.get(n, cls)
-            for j in range(1, n + 1):
-                count += 1
-                theta1, theta2 = factor_inner_as_symmetries(fctx, j)
-                x = ng.generator(fctx, j)
-                ok = compose(theta1, theta2) == inner(x)
-                ok = ok and compose(theta2, theta2) == identity_endomorphism(fctx)
-                for y_idx in range(1, n + 1):
-                    if y_idx == j:
-                        continue
-                    yx = ng.multiply(ng.generator(fctx, y_idx), x)
-                    ok = ok and apply(theta2, yx) == ng.invert(yx)
-                if not ok:
-                    fails.append({"rank": n, "class": cls, "generator": j})
-                    break
-            if fails:
-                break
-        if fails:
-            break
+    def factorization(n, cls, j):
+        fctx = GroupContext.get(n, cls)
+        theta1, theta2 = factor_inner_as_symmetries(fctx, j)
+        x = ng.generator(fctx, j)
+        ok = compose(theta1, theta2) == inner(x)
+        ok = ok and compose(theta2, theta2) == identity_endomorphism(fctx)
+        for y_idx in range(1, n + 1):
+            if y_idx == j:
+                continue
+            yx = ng.multiply(ng.generator(fctx, y_idx), x)
+            ok = ok and apply(theta2, yx) == ng.invert(yx)
+        if not ok:
+            return {"rank": n, "class": cls, "generator": j}
+
+    count, witness = _first_failure(
+        factorization(n, cls, j) for n in (2, 3, 4) for cls in (2, 3) for j in range(1, n + 1)
+    )
     rec.add(
         "two-symmetry-factorization",
         "conjugation by each generator factors exactly as the product of the canonical symmetry and the adapted symmetry",
-        not fails,
+        witness is None,
         count,
-        witness=fails[0] if fails else None,
+        witness=witness,
     )
 
 
 def _suite_interp_m(cfg, rec):
-    fails = []
-    count = 0
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            if (a, b) == (0, 0):
-                continue
-            count += 1
-            lat = Sublattice(2, [(a, b)])
-            brute = any(
-                abs(a * d - b * c) == 1
-                for c in range(-10, 11)
-                for d in range(-10, 11)
-            )
-            comp = find_complement(lat)
-            ok = is_direct_summand(lat) == brute
-            if brute:
-                ok = ok and comp is not None and relation_R(lat, comp)
-            else:
-                ok = ok and comp is None
-            if not ok:
-                fails.append({"basis": [a, b]})
-                break
-        if fails:
-            break
+    def summand(a, b):
+        lat = Sublattice(2, [(a, b)])
+        brute = any(abs(a * d - b * c) == 1 for c in range(-10, 11) for d in range(-10, 11))
+        comp = find_complement(lat)
+        ok = is_direct_summand(lat) == brute
+        if brute:
+            ok = ok and comp is not None and relation_R(lat, comp)
+        else:
+            ok = ok and comp is None
+        if not ok:
+            return {"basis": [a, b]}
+
+    count, witness = _first_failure(
+        summand(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)
+    )
     rec.add(
         "summand-brute-force",
         "the elementary-divisor summand test matches exhaustive search for an integral complementary vector on small rank-1 sublattices",
-        not fails,
+        witness is None,
         count,
-        witness=fails[0] if fails else None,
+        witness=witness,
     )
 
     rng = _trial_rng(cfg.seed, cfg.suite, "structure")
@@ -772,7 +765,6 @@ def _suite_interp_m(cfg, rec):
         certificate={"sampling": st.sampling, "summands": len(st.summands)},
     )
 
-    fails = []
     rng = _trial_rng(cfg.seed, cfg.suite, "falsifier")
     diag_catalog = [DIAG_REP]
     swap_catalog = [SWAP_REP]
@@ -781,67 +773,76 @@ def _suite_interp_m(cfg, rec):
         diag_catalog.append(q @ DIAG_REP @ q.inverse_unimodular())
         q = random_unimodular(rng, 2)
         swap_catalog.append(q @ SWAP_REP @ q.inverse_unimodular())
-    for i, f in enumerate(diag_catalog):
+
+    def diagonal(i, f):
         if not is_diagonalizable_involution(f):
-            fails.append({"catalog": "diagonal", "index": i})
-            break
+            return {"catalog": "diagonal", "index": i}
         if order3_falsifier(f, cfg.trials, _trial_rng(cfg.seed, cfg.suite, "fd", i)) is not None:
-            fails.append({"catalog": "diagonal", "index": i, "matrix": f})
-            break
-    if not fails:
-        for i, f in enumerate(swap_catalog):
-            if is_diagonalizable_involution(f):
-                fails.append({"catalog": "swap", "index": i})
-                break
-            wit = order3_falsifier(f, cfg.trials, _trial_rng(cfg.seed, cfg.suite, "fs", i))
-            if wit is None:  # a sampled search that finds nothing proves nothing
-                raise SearchExhausted("no order-3 witness for swap matrix %d in %d trials" % (i, cfg.trials))
-            if element_order(wit["a"] @ wit["b"]) != 3:
-                fails.append({"catalog": "swap", "index": i, "matrix": f})
-                break
+            return {"catalog": "diagonal", "index": i, "matrix": f}
+
+    def swap(i, f):
+        if is_diagonalizable_involution(f):
+            return {"catalog": "swap", "index": i}
+        wit = order3_falsifier(f, cfg.trials, _trial_rng(cfg.seed, cfg.suite, "fs", i))
+        if wit is None:  # a sampled search that finds nothing proves nothing
+            raise SearchExhausted("no order-3 witness for swap matrix %d in %d trials" % (i, cfg.trials))
+        if element_order(wit["a"] @ wit["b"]) != 3:
+            return {"catalog": "swap", "index": i, "matrix": f}
+
+    # the swap catalogue runs only after every diagonal matrix passed
+    _, witness = _first_failure(
+        chain(
+            (diagonal(i, f) for i, f in enumerate(diag_catalog)),
+            (swap(i, f) for i, f in enumerate(swap_catalog)),
+        )
+    )
     rec.add(
         "diagonalizability-vs-order3",
         "diagonalizable involutions yield no order-3 product of class conjugates within budget, while the swap class always yields a witness",
-        not fails,
+        witness is None,
         cfg.trials,
-        witness=fails[0] if fails else None,
+        witness=witness,
         certificate={"diag_catalog": len(diag_catalog), "swap_catalog": len(swap_catalog)},
     )
 
 
 def _suite_ring_z(cfg, rec):
     b = cfg.trials
-    fails = []
-    for a in range(-b, b + 1):
-        for c in range(-b, b + 1):
-            if decode_int(int_add(encode_int(a), encode_int(c))) != a + c:
-                fails.append({"op": "add", "a": a, "b": c})
-                break
-            if decode_int(int_mul(encode_int(a), encode_int(c))) != a * c:
-                fails.append({"op": "mul", "a": a, "b": c})
-                break
-        if fails:
-            break
-    for m in range(-b, b + 1):
+    square = range(-b, b + 1)
+
+    def arithmetic(a, c):
+        if decode_int(int_add(encode_int(a), encode_int(c))) != a + c:
+            return {"op": "add", "a": a, "b": c}
+        if decode_int(int_mul(encode_int(a), encode_int(c))) != a * c:
+            return {"op": "mul", "a": a, "b": c}
+
+    def roundtrip(m):
         if decode_int(encode_int(m)) != m:
-            fails.append({"op": "roundtrip", "m": m})
-            break
-    rng = _trial_rng(cfg.seed, cfg.suite, "distributivity")
-    for t in range(100):
+            return {"op": "roundtrip", "m": m}
+
+    def distributivity(rng):
         x, y, z = (rng.randint(-b, b) for _ in range(3))
         lhs = decode_int(int_mul(encode_int(x), int_add(encode_int(y), encode_int(z))))
         rhs = decode_int(
             int_add(int_mul(encode_int(x), encode_int(y)), int_mul(encode_int(x), encode_int(z)))
         )
         if lhs != rhs or lhs != x * (y + z):
-            fails.append({"op": "distributivity", "x": x, "y": y, "z": z})
-            break
+            return {"op": "distributivity", "x": x, "y": y, "z": z}
+
+    rng = _trial_rng(cfg.seed, cfg.suite, "distributivity")
+    _, witness = _first_failure(
+        chain(
+            (arithmetic(a, c) for a in square for c in square),
+            map(roundtrip, square),
+            (distributivity(rng) for _ in range(100)),
+        )
+    )
     rec.add(
         "ring-arithmetic",
         "the matrix encoding of the integers reproduces native addition and multiplication on the full test square, with distributivity spot checks",
-        not fails,
+        witness is None,
         (2 * b + 1) ** 2,
-        witness=fails[0] if fails else None,
+        witness=witness,
     )
 
 

@@ -27,9 +27,8 @@ from .automorphisms import (
 from .glz import (
     IntMatrix,
     Sublattice,
-    is_diagonalizable_involution,
+    involution_eigenlattices,
     is_direct_summand,
-    kernel_basis,
     random_unimodular,
     relation_R,
     solve_left,
@@ -234,10 +233,9 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
         involutions.append(q @ base @ q.inverse_unimodular())
     summands = []
     for f in involutions:
-        if not is_diagonalizable_involution(f):
+        fix, neg, splits = involution_eigenlattices(f)
+        if not splits:
             continue
-        fix = kernel_basis(f - eye)
-        neg = kernel_basis(f + eye)
         for rows in (fix, neg):
             lat = Sublattice(n, rows) if rows else Sublattice.zero(n)
             if lat not in summands:

@@ -18,6 +18,7 @@ from nilaut.glz import (
     find_complement,
     hermite_form,
     invariant_splitting,
+    involution_eigenlattices,
     is_diagonalizable_involution,
     is_direct_summand,
     kernel_basis,
@@ -279,19 +280,30 @@ def test_walk():
 
 
 def test_walk_certificate_matches_exact_prefix():
-    rng = random.Random(8)
     p = WALK_CERT_MODULUS
-    for _ in range(10):
-        s0 = random_unimodular(rng, 2)
-        if s0.is_central():
-            continue
-        exact_mats, exact_recs = noncentral_sigma_walk(s0, 10)
-        cert_mats, cert_recs = noncentral_walk_certificate(s0, 10)
-        for em, cm, er, cr in zip(exact_mats, cert_mats, exact_recs, cert_recs):
-            assert (er.m, er.orientation, er.mode) == (cr.m, cr.orientation, cr.mode)
-            assert all(
-                e % p == c for erow, crow in zip(em.rows, cm.rows) for e, c in zip(erow, crow)
-            )
+    # asymmetric ranges search only their in-range parameters, still
+    # smallest |m| first with m before -m
+    for parity, m_range in (
+        ("even", (-5, 5)),
+        ("odd", (-5, 5)),
+        ("even", (1, 3)),
+        ("odd", (1, 3)),
+        ("even", (-2, 0)),
+        ("odd", (-2, 0)),
+    ):
+        rng = random.Random(8)
+        for _ in range(10):
+            s0 = random_unimodular(rng, 2)
+            if s0.is_central():
+                continue
+            exact_mats, exact_recs = noncentral_sigma_walk(s0, 10, parity, m_range)
+            cert_mats, cert_recs = noncentral_walk_certificate(s0, 10, parity, m_range)
+            for em, cm, er, cr in zip(exact_mats, cert_mats, exact_recs, cert_recs):
+                assert (er.m, er.parity, er.orientation, er.mode) == (cr.m, cr.parity, cr.orientation, cr.mode)
+                assert m_range[0] <= er.m <= m_range[1]
+                assert all(
+                    e % p == c for erow, crow in zip(em.rows, cm.rows) for e, c in zip(erow, crow)
+                )
 
 
 def test_walk_certificate_long():
@@ -554,6 +566,36 @@ def test_diagonalizable_involutions():
         assert not is_diagonalizable_involution(q @ SWAP_REP @ q.inverse_unimodular())
     with pytest.raises(DomainError):
         is_diagonalizable_involution(M((1, 1), (0, 1)))
+
+
+def test_involution_eigenlattices():
+    fix, neg, splits = involution_eigenlattices(DIAG_REP)
+    assert (fix, neg, splits) == ([(1, 0)], [(0, 1)], True)
+    fix, neg, splits = involution_eigenlattices(SWAP_REP)
+    assert (fix, neg, splits) == ([(1, 1)], [(1, -1)], False)
+    assert involution_eigenlattices(-IntMatrix.identity(3)) == (
+        [], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], True
+    )
+    # conjugates of diag(-1, 1, ..., 1), which splits, and of the swap of
+    # the first two coordinates, which does not
+    rng = random.Random(22)
+    for n in (2, 3, 4):
+        eye = IntMatrix.identity(n)
+        diag = [list(r) for r in eye.rows]
+        diag[0][0] = -1
+        swap = [list(r) for r in eye.rows]
+        swap[0], swap[1] = swap[1], swap[0]
+        for base, want in ((M(*diag), True), (M(*swap), False)):
+            for _ in range(5):
+                q = random_unimodular(rng, n)
+                f = q @ base @ q.inverse_unimodular()
+                fix, neg, splits = involution_eigenlattices(f)
+                assert fix == kernel_basis(f - eye) and neg == kernel_basis(f + eye)
+                assert splits is want and is_diagonalizable_involution(f) is want
+    with pytest.raises(InputError):
+        involution_eigenlattices(M((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(DomainError):
+        involution_eigenlattices(M((1, 1), (0, 1)))
 
 
 def test_order3_falsifier_swap_witness():

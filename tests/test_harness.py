@@ -206,3 +206,102 @@ def test_proposition_sigma_pair_loop_reads_no_coordinates(monkeypatch):
     assert report.passed
     assert len(marks) == 2 * 2 * 2
     assert marks[0] == marks[-1]
+
+
+def _logged(monkeypatch, log, name, fail_on, wrong):
+    # wrap harness.<name> so each call is logged and the call whose key
+    # `fail_on` picks out returns `wrong`; every recorded check is logged
+    # too, so the calls before a check's record are the cases it ran
+    from nilaut import harness
+
+    real = getattr(harness, name)
+    real_add = harness._Recorder.add
+
+    def wrapped(*args):
+        log.append(args)
+        return wrong(*args) if fail_on(*args) else real(*args)
+
+    def logged_add(self, check_name, *rest, **kw):
+        log.append(check_name)
+        return real_add(self, check_name, *rest, **kw)
+
+    monkeypatch.setattr(harness, name, wrapped)
+    monkeypatch.setattr(harness._Recorder, "add", logged_add)
+
+
+def _cases_before(log, check_name):
+    return [e for e in log[: log.index(check_name)] if isinstance(e, tuple)]
+
+
+def _record(report, check_name):
+    return next(c for c in report.checks if c["name"] == check_name)
+
+
+def test_family_grid_stops_at_first_failure(monkeypatch):
+    from nilaut.glz import IntMatrix, InvolutionClass
+
+    log = []
+    bad = IntMatrix([[1, 0], [-3, -1]])  # m = -1, odd parity: the fourth case
+    _logged(
+        monkeypatch, log, "classify_involution2",
+        lambda mat: mat == bad,
+        lambda mat: (InvolutionClass.DIAGONAL, IntMatrix.identity(2)),
+    )
+    report = run_suite(SuiteConfig("eq-2", trials=3, seed=5, m_range=(-2, 2)))
+    check = _record(report, "family-conjugacy")
+    assert not check["passed"] and not report.passed
+    assert check["trials"] == 4
+    assert check["certificate"] == {"identities_verified": 4}
+    assert check["witness"] == {"m": -1, "parity": "odd", "matrix": [[1, 0], [-3, -1]]}
+    ks = [mat.rows[1][0] for (mat,) in _cases_before(log, "family-conjugacy")]
+    assert ks == [-4, -5, -2, -3]
+
+
+def test_factorization_grid_stops_at_first_failure(monkeypatch):
+    from nilaut.automorphisms import identity_endomorphism
+
+    log = []
+    _logged(
+        monkeypatch, log, "factor_inner_as_symmetries",
+        lambda ctx, j: (ctx.rank, ctx.nilpotency_class, j) == (3, 2, 2),
+        lambda ctx, j: (identity_endomorphism(ctx), identity_endomorphism(ctx)),
+    )
+    report = run_suite(SuiteConfig("one-step-down", rank=2, nil_class=2, trials=2, seed=5))
+    check = _record(report, "two-symmetry-factorization")
+    assert not check["passed"]
+    assert check["trials"] == 6
+    assert check["witness"] == {"rank": 3, "class": 2, "generator": 2}
+    cases = [(ctx.rank, ctx.nilpotency_class, j) for ctx, j in _cases_before(log, "two-symmetry-factorization")]
+    assert cases == [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)]
+
+
+def test_summand_grid_stops_at_first_failure(monkeypatch):
+    from nilaut.glz import Sublattice
+
+    log = []
+    bad = Sublattice(2, [(-3, -1)])  # a summand, and the third case of the grid
+    _logged(monkeypatch, log, "find_complement", lambda lat: lat == bad, lambda lat: None)
+    report = run_suite(SuiteConfig("interp-M", rank=2, trials=60, seed=11))
+    check = _record(report, "summand-brute-force")
+    assert not check["passed"]
+    assert check["trials"] == 3
+    assert check["witness"] == {"basis": [-3, -1]}
+    lats = [lat for (lat,) in _cases_before(log, "summand-brute-force")]
+    assert lats == [Sublattice(2, [(-3, b)]) for b in (-3, -2, -1)]
+
+
+def test_falsifier_catalogue_stops_before_the_swap_side(monkeypatch):
+    log = []
+    _logged(
+        monkeypatch, log, "order3_falsifier",
+        lambda mat, samples, rng: sum(isinstance(e, tuple) for e in log) == 2,
+        lambda mat, samples, rng: {"hit": True},
+    )
+    report = run_suite(SuiteConfig("interp-M", rank=2, trials=60, seed=11))
+    check = _record(report, "diagonalizability-vs-order3")
+    assert not check["passed"]
+    assert check["trials"] == 60
+    assert check["witness"]["catalog"] == "diagonal" and check["witness"]["index"] == 1
+    assert set(check["witness"]) == {"catalog", "index", "matrix"}
+    assert check["certificate"] == {"diag_catalog": 6, "swap_catalog": 6}
+    assert len(_cases_before(log, "diagonalizability-vs-order3")) == 2

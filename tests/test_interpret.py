@@ -200,6 +200,27 @@ def test_structure_m_is_pinned(n, seed):
     assert all(st.vectors[ri] == st.automorphisms[mi] @ st.vectors[vi] for mi, vi, ri in st.action)
 
 
+def test_structure_m_reads_each_eigenlattice_once(monkeypatch):
+    # each harvested involution's Fix and Neg are computed once, where the
+    # diagonalizability test computes them
+    from nilaut import glz, interpret
+
+    inputs = []
+    real = glz.kernel_basis
+
+    def recording(mat):
+        inputs.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(glz, "kernel_basis", recording)
+    monkeypatch.setattr(interpret, "kernel_basis", recording, raising=False)
+    for seed in (1, 3):
+        inputs.clear()
+        build_structure_M(4, random.Random(seed))
+        assert len(inputs) == 24
+        assert len(set(inputs)) == len(inputs)
+
+
 def graph_setup():
     b = Sublattice(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     c = Sublattice(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
