@@ -24,6 +24,8 @@ from .nilgroup import (
     _from_series,
     abelianization,
     format_element,
+    from_exponents,
+    generator,
     invert,
     multiply,
     parse_element,
@@ -164,12 +166,7 @@ class Endomorphism:
 
 
 def identity_endomorphism(ctx: GroupContext) -> Endomorphism:
-    images = []
-    for j in range(ctx.rank):
-        exps = [0] * ctx.dim
-        exps[j] = 1
-        images.append(GroupElement(ctx, exps))
-    return Endomorphism(ctx, images)
+    return lift_matrix(ctx, IntMatrix.identity(ctx.rank))
 
 
 def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
@@ -356,22 +353,15 @@ def inner(x: GroupElement) -> Endomorphism:
     """Conjugation g -> x g x^-1; a homomorphism from N with kernel the center."""
     ctx = x.context
     xinv = invert(x)
-    images = []
-    for j in range(ctx.rank):
-        exps = [0] * ctx.dim
-        exps[j] = 1
-        images.append(multiply(multiply(x, GroupElement(ctx, exps)), xinv))
+    images = [
+        multiply(multiply(x, generator(ctx, j)), xinv) for j in range(1, ctx.rank + 1)
+    ]
     return Endomorphism(ctx, images)
 
 
 def canonical_symmetry(ctx: GroupContext) -> Endomorphism:
     """The symmetry inverting the standard generators."""
-    images = []
-    for j in range(ctx.rank):
-        exps = [0] * ctx.dim
-        exps[j] = -1
-        images.append(GroupElement(ctx, exps))
-    return Endomorphism(ctx, images)
+    return lift_matrix(ctx, -IntMatrix.identity(ctx.rank))
 
 
 def symmetry_from_automorphism(b: Endomorphism) -> Endomorphism:
@@ -391,14 +381,9 @@ def lift_matrix(ctx: GroupContext, mat: IntMatrix) -> Endomorphism:
         raise InputError("matrix shape does not match the context rank")
     if mat.det() not in (1, -1):
         raise DomainError("lift requires a unimodular matrix")
-    images = []
-    for j in range(ctx.rank):
-        exps = [0] * ctx.dim
-        for i in range(ctx.rank):
-            exps[i] = mat.rows[i][j]
-        # ascending products of generator powers are already collected
-        images.append(GroupElement(ctx, exps))
-    return Endomorphism(ctx, images)
+    # ascending products of generator powers are already collected
+    pad = (0,) * (ctx.dim - ctx.rank)
+    return Endomorphism(ctx, [from_exponents(ctx, col + pad) for col in zip(*mat.rows)])
 
 
 def reduce_class(f: Endomorphism) -> Endomorphism:

@@ -55,6 +55,8 @@ def _config_from_args(args) -> SuiteConfig:
                 base = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError("cannot read config %s: %s" % (args.config, exc))
+        if not isinstance(base, dict):
+            raise InputError("config %s must hold a JSON object" % args.config)
     merged = {
         "suite": args.suite if args.suite is not None else base.get("suite"),
         "rank": args.rank if args.rank is not None else base.get("rank", 2),
@@ -65,8 +67,6 @@ def _config_from_args(args) -> SuiteConfig:
     }
     if not merged["suite"]:
         raise InputError("no suite given (use --suite or a config file)")
-    if merged["m_range"] is not None:
-        merged["m_range"] = tuple(merged["m_range"])
     return SuiteConfig(**merged)
 
 

@@ -42,13 +42,13 @@ from . import nilgroup as ng
 from .nilgroup import GroupContext, GroupElement, collect, format_element
 from .automorphisms import (
     Endomorphism,
+    _is_identity,
     abelianization_matrix,
     apply,
     canonical_symmetry,
     compose,
     conjugate,
     endomorphism_to_json,
-    identity_endomorphism,
     in_K,
     inner,
     invert_automorphism,
@@ -85,6 +85,10 @@ from .interpret import (
 __all__ = ["SuiteConfig", "Report", "run_suite", "emit_report", "suite_table", "SUITE_NAMES"]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -95,11 +99,20 @@ class SuiteConfig:
     m_range: tuple = None
 
     def normalized(self) -> "SuiteConfig":
-        if self.suite not in _SUITES:
+        if not isinstance(self.suite, str) or self.suite not in _SUITES:
             raise InputError("unknown suite %r" % (self.suite,))
         entry = _SUITES[self.suite]
         trials = self.trials if self.trials is not None else entry["trials"]
-        m_range = tuple(self.m_range) if self.m_range is not None else entry["m_range"]
+        m_range = self.m_range if self.m_range is not None else entry["m_range"]
+        for name, value in (
+            ("rank", self.rank), ("class", self.nil_class), ("trials", trials), ("seed", self.seed)
+        ):
+            if not _is_int(value):
+                raise InputError("%s must be an integer, got %r" % (name, value))
+        pair = isinstance(m_range, (list, tuple)) and len(m_range) == 2
+        if not (pair and all(map(_is_int, m_range))):
+            raise InputError("parameter range must be a pair of integers, got %r" % (m_range,))
+        m_range = tuple(m_range)
         if self.rank < 2:
             raise InputError("rank must be at least 2")
         if self.nil_class < 1:
@@ -277,7 +290,7 @@ def _suite_group_axioms(cfg, rec):
                 k, j = ctx.basis[idx].shape
                 expected[idx] += a.exponents[k] * b.exponents[j]
             got = ng.multiply(a, b)
-            if not (got.exponents == tuple(expected) and got == ng._multiply_series(a, b)):
+            if got.exponents != tuple(expected):
                 return {"trial": t, "a": a, "b": b}
 
         _check(
@@ -325,7 +338,6 @@ def _suite_lemma_22(cfg, rec):
     ctx = GroupContext.get(cfg.rank, cfg.nil_class)
     s = cfg.nil_class
     thetas = _theta_pool(cfg, ctx)
-    ident = identity_endomorphism(ctx)
 
     for m in range(1, s + 1):
 
@@ -352,7 +364,7 @@ def _suite_lemma_22(cfg, rec):
             conj = conjugate(theta, gamma)
             tail = gamma if m % 2 == 1 else invert_automorphism(gamma)
             resid = compose(conj, tail)
-            ok = in_K(resid, m + 1) if m + 1 <= s else resid == ident
+            ok = in_K(resid, m + 1) if m + 1 <= s else _is_identity(resid)
             if not ok:
                 return {"trial": t, "theta": theta, "gamma": gamma}
 
@@ -366,8 +378,7 @@ def _suite_lemma_22(cfg, rec):
 
 def _suite_lemma_21(cfg, rec):
     ctx = GroupContext.get(cfg.rank, cfg.nil_class)
-    s = cfg.nil_class
-    ident = identity_endomorphism(ctx)
+    # the suite runs at class 3 only, so K_{m+1} is a proper layer for m <= 2
     for m in (1, 2):
 
         def commutes(rng, t):
@@ -377,8 +388,7 @@ def _suite_lemma_21(cfg, rec):
                 compose(invert_automorphism(gamma), invert_automorphism(delta)),
                 compose(gamma, delta),
             )
-            ok = in_K(comm, m + 1) if m + 1 <= s else comm == ident
-            if not ok:
+            if not in_K(comm, m + 1):
                 return {"trial": t, "gamma": gamma, "delta": delta}
 
         _check(
@@ -702,7 +712,7 @@ def _suite_one_step_down(cfg, rec):
         theta1, theta2 = factor_inner_as_symmetries(fctx, j)
         x = ng.generator(fctx, j)
         ok = compose(theta1, theta2) == inner(x)
-        ok = ok and compose(theta2, theta2) == identity_endomorphism(fctx)
+        ok = ok and _is_identity(compose(theta2, theta2))
         for y_idx in range(1, n + 1):
             if y_idx == j:
                 continue

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from .errors import DomainError, InputError, InternalError
 from .automorphisms import (
     Endomorphism,
+    _is_identity,
     canonical_symmetry,
     compose,
     conjugate,
-    identity_endomorphism,
     inner,
     invert_automorphism,
     is_automorphism,
@@ -164,8 +164,7 @@ def factor_inner_as_symmetries(ctx: GroupContext, gen_index: int):
             y = generator(ctx, j)
             images.append(multiply(multiply(xinv, invert(y)), x))
     theta2 = Endomorphism(ctx, images)
-    ident = identity_endomorphism(ctx)
-    if compose(theta2, theta2) != ident:
+    if not _is_identity(compose(theta2, theta2)):
         raise InternalError("the second symmetry does not square to the identity")
     if compose(theta1, theta2) != inner(x):
         raise InternalError("the two symmetries do not compose to the conjugation")

@@ -17,8 +17,11 @@ Conventions, fixed once and used by every module in this package:
 Multiplication, inversion, powers and word collection are computed through
 an exact truncated-series embedding (generators map to 1 + X_i in the free
 associative ring over the X_i, truncated above degree s), which is faithful
-and keeps all arithmetic in integers.  `collect` multiplies the series of
-the word's letters.  Every result is stored as its series alone, and its
+and keeps all arithmetic in integers, at every class.  Powers, inverses and
+the factor b_i^e of a basis element are one binomial expansion of
+(1 + u)^e, and both coordinate conversions build their ordered products
+of such factors with one routine.  `collect` multiplies the series of the
+word's letters.  Every result is stored as its series alone, and its
 coordinates are read off on first access, so a chain of operations
 converts between the two formats only for its inputs and for what it hands
 out; `_from_series` is the one place a series becomes an element.  The
@@ -185,16 +188,7 @@ class GroupContext:
         self._basis_series = []
         for b in self.basis:
             self._basis_series.append(self._series_of_basis(b))
-        self._bpowers = []
-        for ser in self._basis_series:
-            u = [list(blk) for blk in ser]
-            u[0][0] -= 1
-            powers = []
-            cur = u
-            while any(any(blk) for blk in cur):
-                powers.append(cur)
-                cur = _series_mul(self, cur, u)
-            self._bpowers.append(powers)
+        self._bpowers = [_unit_powers(self, ser) for ser in self._basis_series]
         # the degree-w block of a weight-w basis series is its Hall
         # polynomial; restricted to the Lyndon-word entries these form a
         # square integer matrix of det +-1 (Chen-Fox-Lyndon; Reutenauer,
@@ -311,76 +305,70 @@ def _series_iadd_scaled(acc, ser, c):
                 blk_a[i] += c * v
 
 
-def _series_unit_inv(ctx, a):
-    if a[0][0] != 1:
+def _unit_powers(ctx, ser):
+    """The nonzero powers u, u^2, ... of u = ser - 1, at most s of them.
+
+    u has no constant term, so u^k starts in degree k and u^(s+1) truncates
+    to zero."""
+    if ser[0][0] != 1:
         raise InternalError("series is not a group image")
-    nu = [[-v for v in blk] for blk in a]
-    nu[0][0] = 0
-    out = _unit_series(ctx)
-    term = _unit_series(ctx)
-    for _ in range(ctx.nilpotency_class):
-        term = _series_mul(ctx, term, nu)
-        if not any(any(blk) for blk in term):
+    u = [list(blk) for blk in ser]
+    u[0][0] = 0
+    powers = []
+    cur = u
+    while any(any(blk) for blk in cur):
+        powers.append(cur)
+        if len(powers) == ctx.nilpotency_class:
             break
-        _series_iadd_scaled(out, term, 1)
+        cur = _series_mul(ctx, cur, u)
+    return powers
+
+
+def _binomial_series(ctx, powers, e):
+    """(1 + u)^e = sum of binom(e, k) u^k for any integer e, from the powers
+    of u; the sum is finite because u^k vanishes beyond k = s."""
+    out = _unit_series(ctx)
+    for k, p in enumerate(powers, start=1):
+        c = _binom(e, k)
+        if c:
+            _series_iadd_scaled(out, p, c)
     return out
 
 
 def _series_comm(ctx, a, b):
     ab = _series_mul(ctx, a, b)
     ba = _series_mul(ctx, b, a)
-    return _series_mul(ctx, _series_unit_inv(ctx, ba), ab)
+    return _series_mul(ctx, _binomial_series(ctx, _unit_powers(ctx, ba), -1), ab)
 
 
-def _series_unit_power(ctx, a, e):
-    """(unit series)^e for any integer e, by the binomial expansion."""
-    if a[0][0] != 1:
-        raise InternalError("series is not a group image")
-    u = [list(blk) for blk in a]
-    u[0][0] = 0
-    out = _unit_series(ctx)
-    term = _unit_series(ctx)
-    for k in range(1, ctx.nilpotency_class + 1):
-        term = _series_mul(ctx, term, u)
-        if not any(any(blk) for blk in term):
-            break
-        c = _binom(e, k)
-        if c:
-            _series_iadd_scaled(out, term, c)
-    return out
+def _ordered_product(ctx, factors):
+    """The series of the ordered product of b_i^e over the (i, e) pairs.
 
-
-def _coord_factor(ctx, i, e):
-    """The series of b_i^e, from the precomputed powers of b_i - 1."""
-    out = _unit_series(ctx)
-    for k, bp in enumerate(ctx._bpowers[i], start=1):
-        c = _binom(e, k)
-        if c:
-            _series_iadd_scaled(out, bp, c)
-    return out
-
-
-def _series_of_coords(ctx, exps):
-    # basis factors with 2 * weight > s have no surviving squares or cross
-    # terms, so their ordered product collapses to 1 + sum of c * B exactly;
-    # only the low-weight prefix needs genuine series multiplications
-    cut = ctx._light_start
+    Basis factors with 2 * weight > s have no surviving squares or cross
+    terms, so their ordered product collapses to 1 + sum of e * (b_i - 1)
+    exactly; they must come after every other factor, and only the ones
+    before them need genuine series multiplications.
+    """
+    light = ctx._light_start
     out = None
-    for i in range(cut):
-        e = exps[i]
-        if e:
-            f = _coord_factor(ctx, i, e)
-            out = f if out is None else _series_mul(ctx, out, f)
     tail = None
-    for i in range(cut, ctx.dim):
-        e = exps[i]
-        if e:
+    for i, e in factors:
+        if not e:
+            continue
+        if i >= light:
             if tail is None:
                 tail = _unit_series(ctx)
             _series_iadd_scaled(tail, ctx._bpowers[i][0], e)
+        else:
+            f = _binomial_series(ctx, ctx._bpowers[i], e)
+            out = f if out is None else _series_mul(ctx, out, f)
     if tail is not None:
         out = tail if out is None else _series_mul(ctx, out, tail)
     return out if out is not None else _unit_series(ctx)
+
+
+def _series_of_coords(ctx, exps):
+    return _ordered_product(ctx, enumerate(exps))
 
 
 def _series_to_coords(ctx, ser):
@@ -406,24 +394,10 @@ def _series_to_coords(ctx, ser):
             raise InternalError("series is not a group image at weight %d" % w)
         exps[lo:hi] = coords
         if any(coords) and w < s:
-            # left-divide by the weight-w prefix: its inverse is the ordered
-            # product of the negated-exponent factors, which collapses to
-            # 1 - sum of c * B once squares and cross terms truncate
-            if 2 * w > s:
-                inv_prefix = _unit_series(ctx)
-                for k, c in enumerate(coords):
-                    if c:
-                        _series_iadd_scaled(inv_prefix, ctx._bpowers[lo + k][0], -c)
-            else:
-                inv_prefix = None
-                for k in range(len(coords) - 1, -1, -1):
-                    c = coords[k]
-                    if c:
-                        f = _coord_factor(ctx, lo + k, -c)
-                        inv_prefix = (
-                            f if inv_prefix is None else _series_mul(ctx, inv_prefix, f)
-                        )
-            r = _series_mul(ctx, inv_prefix, r)
+            # left-divide by the weight-w prefix: its inverse is the product
+            # of the negated-exponent factors in reverse order
+            pairs = [(lo + k, -c) for k, c in enumerate(coords)]
+            r = _series_mul(ctx, _ordered_product(ctx, reversed(pairs)), r)
     return tuple(exps)
 
 
@@ -536,42 +510,20 @@ def _same_context(g: GroupElement, h: GroupElement) -> GroupContext:
     return g.context
 
 
-def _multiply_class2(g: GroupElement, h: GroupElement) -> GroupElement:
-    # closed form at class 2: weight-1 exponents add, and moving the second
-    # factor's generators left past the first factor's contributes a_k * b_j
-    # on the basis bracket [x_k, x_j]
-    ctx = g.context
-    a = g.exponents
-    b = h.exponents
-    out = [x + y for x, y in zip(a, b)]
-    for idx in range(ctx.rank, ctx.dim):
-        k, j = ctx.basis[idx].shape
-        out[idx] += a[k] * b[j]
-    return GroupElement(ctx, out)
-
-
-def _multiply_series(g: GroupElement, h: GroupElement) -> GroupElement:
-    ctx = g.context
-    return _from_series(ctx, _series_mul(ctx, g._magnus(), h._magnus()))
-
-
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     """Collected product g * h."""
     ctx = _same_context(g, h)
-    if ctx.nilpotency_class == 2:
-        return _multiply_class2(g, h)
-    return _multiply_series(g, h)
+    return _from_series(ctx, _series_mul(ctx, g._magnus(), h._magnus()))
 
 
 def invert(g: GroupElement) -> GroupElement:
-    ctx = g.context
-    return _from_series(ctx, _series_unit_inv(ctx, g._magnus()))
+    return power(g, -1)
 
 
 def power(g: GroupElement, k: int) -> GroupElement:
     """k-th power for any integer k, exact and independent of |k|."""
     ctx = g.context
-    return _from_series(ctx, _series_unit_power(ctx, g._magnus(), int(k)))
+    return _from_series(ctx, _binomial_series(ctx, _unit_powers(ctx, g._magnus()), int(k)))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -658,7 +610,7 @@ def collect(ctx: GroupContext, word) -> GroupElement:
                 raise InputError("generator index %r out of range 1..%d" % (i, ctx.rank))
             if s not in (1, -1):
                 raise InputError("letter sign must be +1 or -1, got %r" % (s,))
-            f = factors[i, s] = _coord_factor(ctx, i - 1, s)
+            f = factors[i, s] = _binomial_series(ctx, ctx._bpowers[i - 1], s)
         ser = _series_mul(ctx, ser, f)
     return _from_series(ctx, ser)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from .automorphisms import (
     Endomorphism,
+    _is_identity,
     canonical_symmetry,
     compose,
     conjugate,
@@ -105,13 +106,12 @@ def symmetry_sample(ctx: GroupContext, rng, conjugates: int = 20, perturbed: int
 
     Returns (label, involution) pairs; every entry squares to the identity.
     """
-    ident = identity_endomorphism(ctx)
     out = [("canonical", canonical_symmetry(ctx))]
     for _ in range(conjugates):
         out.append(("conjugated", conjugated_symmetry(ctx, rng)))
     for _ in range(perturbed):
         out.append(("ia_perturbed", ia_perturbed_symmetry(ctx, rng)))
     for label, theta in out:
-        if compose(theta, theta) != ident:
+        if not _is_identity(compose(theta, theta)):
             raise InternalError("sampled %s member is not an involution" % label)
     return out

@@ -74,6 +74,22 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(cfg), "--trials", "5", "--report", str(path)]) == 0
     assert json.loads(path.read_text())["config"]["trials"] == 5
     assert cli.main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
+    capsys.readouterr()
+    # a malformed config is a usage error before anything runs, not a crash
+    bad_configs = [
+        {"suite": "ring-Z", "rank": "3"},
+        {"suite": "ring-Z", "m_range": [1]},
+        ["ring-Z"],
+        {"suite": "ring-Z", "seed": "4"},
+        {"suite": "ring-Z", "trials": 2.5},
+        {"suite": ["ring-Z"]},
+    ]
+    for k, bad in enumerate(bad_configs):
+        cfg.write_text(json.dumps(bad))
+        path = tmp_path / ("bad%d.json" % k)
+        assert cli.main(["verify", "--config", str(cfg), "--report", str(path)]) == 2, bad
+        assert "usage error" in capsys.readouterr().err
+        assert not path.exists()
 
 
 def test_failure_and_search_exit_codes(monkeypatch, capsys):
@@ -202,6 +218,25 @@ def test_unchecked_matrices_are_built_only_in_glz():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr == "_trusted") or (
                 isinstance(node, ast.Name) and node.id == "_trusted"
+            ):
+                found.append("%s:%d" % (os.path.basename(path), node.lineno))
+    assert found == []
+
+
+def test_elements_from_coordinates_are_built_only_in_nilgroup():
+    # GroupElement(ctx, exps) stores the exponents without the length and
+    # integer checks of from_exponents, so only nilgroup may call it
+    pkg = os.path.dirname(os.path.abspath(nilaut.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        if os.path.basename(path) == "nilgroup.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Name) and func.id == "GroupElement") or (
+                isinstance(func, ast.Attribute) and func.attr == "GroupElement"
             ):
                 found.append("%s:%d" % (os.path.basename(path), node.lineno))
     assert found == []
