@@ -112,7 +112,7 @@ class Endomorphism:
         parent = self._mon_images.get((pos - 1) // rank)
         if parent is None:
             parent = self._monomial_image((pos - 1) // rank)
-        ser = self.images[(pos - 1) % rank]._magnus()
+        ser = self.images[(pos - 1) % rank]._series
         hit = []
         if parent:
             # every product lies at or after the first parent pair times X_1
@@ -183,7 +183,7 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
     ctx = f.context
     if g.context != ctx:
         raise InputError("element context does not match endomorphism context")
-    src = g._magnus()
+    src = g._series
     s = ctx.nilpotency_class
     rank = ctx.rank
     offsets = ctx._deg_offsets
@@ -252,7 +252,7 @@ def _defect_weight(f: Endomorphism, j: int) -> int:
     # f(x_j): that series is (1 + X_j)(1 + (D - 1)), and X_j (D - 1) starts
     # one degree above D - 1, so the lowest degree where it differs from
     # 1 + X_j is the weight of D, with the block of D - 1 there
-    ser = f.images[j]._magnus()
+    ser = f.images[j]._series
     if any(v != (i == j) for i, v in enumerate(ser[1])):
         return 1
     s = f.context.nilpotency_class

@@ -47,6 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_KEYS = {"suite", "rank", "class", "trials", "seed", "m_range"}
+
+
 def _config_from_args(args) -> SuiteConfig:
     base = {}
     if args.config:
@@ -57,6 +60,9 @@ def _config_from_args(args) -> SuiteConfig:
             raise InputError("cannot read config %s: %s" % (args.config, exc))
         if not isinstance(base, dict):
             raise InputError("config %s must hold a JSON object" % args.config)
+        unknown = sorted(set(base) - _CONFIG_KEYS)
+        if unknown:
+            raise InputError("config %s has unknown keys: %s" % (args.config, ", ".join(unknown)))
     merged = {
         "suite": args.suite if args.suite is not None else base.get("suite"),
         "rank": args.rank if args.rank is not None else base.get("rank", 2),

@@ -21,11 +21,9 @@ __all__ = [
     "IntMatrix",
     "Sublattice",
     "InvolutionClass",
-    "xgcd",
     "hermite_form",
     "smith_normal_form",
     "kernel_basis",
-    "solve_left",
     "element_order",
     "classify_involution2",
     "xy_matrices",
@@ -40,21 +38,6 @@ __all__ = [
     "invariant_splitting",
     "random_unimodular",
 ]
-
-
-def xgcd(a: int, b: int):
-    """(x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0 for (a, b) != 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 class IntMatrix:
@@ -140,9 +123,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(list(zip(*self.rows)))
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
     def det(self) -> int:
         if not self.is_square:
@@ -346,34 +326,6 @@ def kernel_basis(mat: IntMatrix):
     h, _, t = hermite_form(zip(*mat.rows), with_transform=True)
     kern = t[len(h):]
     return [tuple(r) for r in hermite_form(kern)] if kern else []
-
-
-def solve_left(amat, b):
-    """x with x @ A == b over the integers, or None.
-
-    A is given as rows; x and b are row vectors.
-    """
-    rows = [list(map(int, r)) for r in amat]
-    h, full, t = hermite_form(rows, with_transform=True)
-    vec = list(map(int, b))
-    coeffs = [0] * len(full)
-    for i, row in enumerate(full):
-        piv_col = next((j for j, x in enumerate(row) if x), None)
-        if piv_col is None:
-            continue
-        q, r = divmod(vec[piv_col], row[piv_col])
-        if r:
-            return None
-        if q:
-            vec = [a - q * x for a, x in zip(vec, row)]
-        coeffs[i] = q
-    if any(vec):
-        return None
-    out = [0] * len(rows)
-    for i, c in enumerate(coeffs):
-        if c:
-            out = [a + c * x for a, x in zip(out, t[i])]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

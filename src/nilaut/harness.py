@@ -411,32 +411,33 @@ def _suite_proposition_sigma(cfg, rec):
     rng_conj = _trial_rng(cfg.seed, cfg.suite, "conjugators")
     conj_pool = [random_automorphism(ctx, rng_conj) for _ in range(20)]
 
-    fails = []
-    shadow_fails = []
-    traces = 0
     pick = _trial_rng(cfg.seed, cfg.suite, "tuple-draws")
-    for ti, theta in enumerate(thetas):
-        # the per-involution part of sigma.necessity_check, once per theta:
-        # the order-two check, and per pool index k the conjugate
-        # c_k theta c_k^-1 with its abelianized matrix, kept for this row only
-        check_involution(theta)
-        theta_mat = abelianization_matrix(theta)
-        phis = {}
-        for si, sigma in enumerate(sigmas):
-            draws = [pick.randrange(len(conj_pool)) for _ in range(s)]
-            for k in draws:
-                if k not in phis:
-                    c = conj_pool[k]
-                    c_mat = abelianization_matrix(c)
-                    phis[k] = (
-                        conjugate(c, theta),
-                        c_mat @ theta_mat @ c_mat.inverse_unimodular(),
-                    )
-            verdict = descent_verdict(sigma, [phis[k][0] for k in draws])
-            traces += 1
-            if not verdict.passed:
-                fails.append(
-                    {
+
+    def pairs():
+        # one case per (theta, sigma) pair: None, or the name of the check
+        # it fails with its witness; the shadow is checked only after a
+        # passing descent, so both checks share one trace count
+        for ti, theta in enumerate(thetas):
+            # the per-involution part of sigma.necessity_check, once per
+            # theta: the order-two check, and per pool index k the
+            # conjugate c_k theta c_k^-1 with its abelianized matrix, kept
+            # for this row only
+            check_involution(theta)
+            theta_mat = abelianization_matrix(theta)
+            phis = {}
+            for si, sigma in enumerate(sigmas):
+                draws = [pick.randrange(len(conj_pool)) for _ in range(s)]
+                for k in draws:
+                    if k not in phis:
+                        c = conj_pool[k]
+                        c_mat = abelianization_matrix(c)
+                        phis[k] = (
+                            conjugate(c, theta),
+                            c_mat @ theta_mat @ c_mat.inverse_unimodular(),
+                        )
+                verdict = descent_verdict(sigma, [phis[k][0] for k in draws])
+                if not verdict.passed:
+                    yield "necessity-descent", {
                         "theta_index": ti,
                         "sigma_index": si,
                         "violations": verdict.violations,
@@ -444,32 +445,30 @@ def _suite_proposition_sigma(cfg, rec):
                         "sigma": sigma,
                         "depths": verdict.trace.depths,
                     }
-                )
-                break
-            phi_mats = [phis[k][1] for k in draws]
-            mats = matrix_sigma_sequence(abelianization_matrix(sigma), phi_mats, s)
-            for term, mat in zip(verdict.trace.terms, mats):
-                if abelianization_matrix(term) != mat:
-                    shadow_fails.append({"theta_index": ti, "sigma_index": si})
-                    break
-            if shadow_fails:
-                break
-        if fails or shadow_fails:
-            break
+                    return
+                phi_mats = [phis[k][1] for k in draws]
+                mats = matrix_sigma_sequence(abelianization_matrix(sigma), phi_mats, s)
+                if all(abelianization_matrix(t) == m for t, m in zip(verdict.trace.terms, mats)):
+                    yield None
+                else:
+                    yield "abelianized-shadow", {"theta_index": ti, "sigma_index": si}
+
+    traces, failure = _first_failure(pairs())
+    failed, witness = failure or (None, None)
     rec.add(
         "necessity-descent",
         "for symmetries modulo abelianization-trivial factors, term m of the recursion lies in K_m and term s is trivial",
-        not fails,
+        failed != "necessity-descent",
         traces,
-        witness=fails[0] if fails else None,
+        witness=witness if failed == "necessity-descent" else None,
         certificate={"theta_pool": n_pool, "sigma_pool": n_pool, "tuple_pool": len(conj_pool)},
     )
     rec.add(
         "abelianized-shadow",
         "the abelianization of every recursion term equals the integer-matrix recursion of the abelianized inputs",
-        not shadow_fails,
+        failed != "abelianized-shadow",
         traces,
-        witness=shadow_fails[0] if shadow_fails else None,
+        witness=witness if failed == "abelianized-shadow" else None,
     )
 
     if cfg.rank == 2:

@@ -31,7 +31,6 @@ from .glz import (
     is_direct_summand,
     random_unimodular,
     relation_R,
-    solve_left,
 )
 from .nilgroup import (
     GroupContext,
@@ -328,14 +327,13 @@ def decode_summand_to_endomorphism(
     if not relation_R(graph, c):
         raise InputError("graph must be a complement of C")
     r = b.rank
-    stacked = list(graph.basis) + list(c.basis)
+    # relation_R certified the stacked bases as a unimodular matrix S, so
+    # b_i has the unique coordinates b_i S^-1 over them
+    coords = IntMatrix(list(graph.basis) + list(c.basis)).inverse_unimodular().transpose()
     cols = []
     iota_inv = iota.inverse_unimodular()
     for i in range(r):
-        coeffs = solve_left(stacked, b.basis[i])
-        if coeffs is None:
-            raise InputError("B does not decompose over graph and C")
-        c_part = coeffs[graph.rank :]
+        c_part = (coords @ b.basis[i])[graph.rank :]
         # b_i = u - sum(c_part_k C_k) with u in the graph, so the graph
         # offset of b_i is -c_part in C coordinates
         alpha_col = iota_inv @ tuple(-x for x in c_part)

@@ -4,7 +4,7 @@ A free nilpotent group of rank n and class s is coordinatized by the Hall
 basis of basic commutators of weight at most s.  Every element has a unique
 collected normal form b_1^{e_1} ... b_K^{e_K} with the b_i in basis order;
 its exponent vector (e_1, ..., e_K) of arbitrary-precision integers is the
-boundary format, used for input, text, JSON and hashing.
+boundary format, used for input, text and JSON.
 
 Conventions, fixed once and used by every module in this package:
 
@@ -21,18 +21,18 @@ and keeps all arithmetic in integers, at every class.  Powers, inverses and
 the factor b_i^e of a basis element are one binomial expansion of
 (1 + u)^e, and both coordinate conversions build their ordered products
 of such factors with one routine.  `collect` multiplies the series of the
-word's letters.  Every result is stored as its series alone, and its
-coordinates are read off on first access, so a chain of operations
-converts between the two formats only for its inputs and for what it hands
-out; `_from_series` is the one place a series becomes an element.  The
-read-off goes weight by weight through the integer inverse of the Hall
-polynomials' minor at the Lyndon words (det +-1), and checks that the
-coordinates reproduce the series.  Weight, identity and equality tests,
-the abelianization and the class projection read the series of an element
-whose coordinates were not read off yet.  That is exact: the embedding is
-faithful, and g lies in N_m exactly when its series minus 1 starts in
-degree m, because the dimension subgroups of a free group are the terms
-of its lower central series (Magnus; Witt).
+word's letters.  An element is its series: one built from exponents
+computes it at construction, and `_from_series` is the one place a result
+becomes an element.  Coordinates are read off a result only at its first
+`.exponents`, so a chain of operations converts between the two formats
+only for its inputs and for what it hands out.  The read-off goes weight
+by weight through the integer inverse of the Hall polynomials' minor at
+the Lyndon words (det +-1), and checks that the coordinates reproduce the
+series.  Equality, hashing, the weight, the identity test, the
+abelianization and the class projection read the series alone.  That is
+exact: the embedding is faithful, and g lies in N_m exactly when its
+series minus 1 starts in degree m, because the dimension subgroups of a
+free group are the terms of its lower central series (Magnus; Witt).
 """
 
 from __future__ import annotations
@@ -407,15 +407,15 @@ def _series_to_coords(ctx, ser):
 
 
 class GroupElement:
-    """A group element in collected normal form over the Hall basis.
+    """A group element, held as its truncated Magnus series.
 
-    An element holds its exponents, its series, or both.  Elements built
-    from exponents get their series at first use; results of operations
-    hold only their series and read the exponents off at first access,
-    checked weight by weight to reproduce the series, so every exponent
-    vector that leaves the engine went through that check.  Weight,
-    identity and equality tests read whichever form is present, preferring
-    the exponents; hashing uses the exponents.  A stored series is shared
+    The series is the element: products, powers, equality, hashing, the
+    weight, the identity test, the abelianization and the class projection
+    all read it.  The Hall exponents are the boundary format, cached in
+    `_exponents`: elements built from exponents keep the ones they were
+    given, and results read them off at the first `.exponents`, checked
+    weight by weight to reproduce the series, so every exponent vector that
+    leaves the engine went through that check.  A stored series is shared
     and never mutated in place.
     """
 
@@ -424,7 +424,7 @@ class GroupElement:
     def __init__(self, context: GroupContext, exponents):
         self.context = context
         self._exponents = tuple(exponents)
-        self._series = None
+        self._series = _series_of_coords(context, self._exponents)
 
     @property
     def exponents(self):
@@ -432,25 +432,19 @@ class GroupElement:
             self._exponents = _series_to_coords(self.context, self._series)
         return self._exponents
 
-    def _magnus(self):
-        if self._series is None:
-            self._series = _series_of_coords(self.context, self._exponents)
-        return self._series
-
     def is_identity(self) -> bool:
-        if self._exponents is None:
-            return not any(any(blk) for blk in self._series[1:])
-        return not any(self._exponents)
+        return not any(any(blk) for blk in self._series[1:])
 
     def __eq__(self, other):
-        if not (isinstance(other, GroupElement) and self.context == other.context):
-            return False
-        if self._exponents is not None and other._exponents is not None:
-            return self._exponents == other._exponents
-        return self._magnus() == other._magnus()
+        return (
+            isinstance(other, GroupElement)
+            and self.context == other.context
+            and self._series == other._series
+        )
 
     def __hash__(self):
-        return hash((self.context.rank, self.context.nilpotency_class, self.exponents))
+        ctx = self.context
+        return hash((ctx.rank, ctx.nilpotency_class, tuple(map(tuple, self._series))))
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -513,7 +507,7 @@ def _same_context(g: GroupElement, h: GroupElement) -> GroupContext:
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     """Collected product g * h."""
     ctx = _same_context(g, h)
-    return _from_series(ctx, _series_mul(ctx, g._magnus(), h._magnus()))
+    return _from_series(ctx, _series_mul(ctx, g._series, h._series))
 
 
 def invert(g: GroupElement) -> GroupElement:
@@ -523,26 +517,20 @@ def invert(g: GroupElement) -> GroupElement:
 def power(g: GroupElement, k: int) -> GroupElement:
     """k-th power for any integer k, exact and independent of |k|."""
     ctx = g.context
-    return _from_series(ctx, _binomial_series(ctx, _unit_powers(ctx, g._magnus()), int(k)))
+    return _from_series(ctx, _binomial_series(ctx, _unit_powers(ctx, g._series), int(k)))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     """[g, h] = g^-1 h^-1 g h."""
     ctx = _same_context(g, h)
-    return _from_series(ctx, _series_comm(ctx, g._magnus(), h._magnus()))
+    return _from_series(ctx, _series_comm(ctx, g._series, h._series))
 
 
 def weight(g: GroupElement) -> int:
     """Largest m with g in N_m; the identity returns the sentinel s + 1."""
-    ctx = g.context
-    s = ctx.nilpotency_class
+    s = g.context.nilpotency_class
     for w in range(1, s + 1):
-        if g._exponents is None:
-            block = g._series[w]
-        else:
-            lo, hi = ctx._weight_ranges[w]
-            block = g._exponents[lo:hi]
-        if any(block):
+        if any(g._series[w]):
             return w
     return s + 1
 
@@ -550,22 +538,18 @@ def weight(g: GroupElement) -> int:
 def abelianization(g: GroupElement) -> tuple:
     """Image of g in Z^rank: its weight-1 exponents, the degree-1 block of
     its series."""
-    if g._exponents is None:
-        return tuple(g._series[1])
-    return g._exponents[: g.context.rank]
+    return tuple(g._series[1])
 
 
 def project_to_class(g: GroupElement, m: int) -> GroupElement:
-    """Image of g in the class-m quotient context (a group homomorphism)."""
+    """Image of g in the class-m quotient context (a group homomorphism):
+    the series truncated above degree m."""
     ctx = g.context
     if not 1 <= m <= ctx.nilpotency_class:
         raise InputError("class %r out of range 1..%d" % (m, ctx.nilpotency_class))
     if m == ctx.nilpotency_class:
         return g
-    tgt = GroupContext.get(ctx.rank, m)
-    if g._exponents is None:
-        return _from_series(tgt, g._series[: m + 1])
-    return GroupElement(tgt, g._exponents[: tgt.dim])
+    return _from_series(GroupContext.get(ctx.rank, m), g._series[: m + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +565,6 @@ class FreeWord:
     """
 
     letters: tuple
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "FreeWord":
-        return cls(tuple((int(i), int(s)) for i, s in pairs))
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((i, -s) for i, s in reversed(self.letters)))

@@ -46,14 +46,6 @@ def random_element_of_weight(ctx: GroupContext, rng, m: int, bound: int = 4) -> 
     return from_exponents(ctx, exps)
 
 
-def _random_tail(ctx, rng, min_weight, bound):
-    lo = ctx.weight_range(min_weight)[0]
-    exps = [0] * ctx.dim
-    for i in range(lo, ctx.dim):
-        exps[i] = rng.randint(-bound, bound)
-    return from_exponents(ctx, exps)
-
-
 def random_ia(ctx: GroupContext, rng, bound: int = 3) -> Endomorphism:
     """x_j -> x_j t_j with t_j in N_2: exactly the IA automorphisms."""
     return random_k_member(ctx, rng, 1, bound)
@@ -67,18 +59,16 @@ def random_k_member(ctx: GroupContext, rng, m: int, bound: int = 3, nontrivial: 
         if nontrivial:
             raise InputError("K_s is trivial; no nontrivial member exists")
         return identity_endomorphism(ctx)
+    lo = ctx.weight_range(m + 1)[0]
     while True:
-        images = []
-        moved = False
-        for j in range(ctx.rank):
-            tail = _random_tail(ctx, rng, m + 1, bound)
-            if not tail.is_identity():
-                moved = True
-            exps = list(tail.exponents)
-            exps[j] += 1
-            images.append(from_exponents(ctx, exps))
-        if moved or not nontrivial:
-            return Endomorphism(ctx, images)
+        tails = [
+            [0] * lo + [rng.randint(-bound, bound) for _ in range(lo, ctx.dim)]
+            for _ in range(ctx.rank)
+        ]
+        if not nontrivial or any(any(t) for t in tails):
+            for j, exps in enumerate(tails):
+                exps[j] += 1
+            return Endomorphism(ctx, [from_exponents(ctx, exps) for exps in tails])
 
 
 def random_automorphism(ctx: GroupContext, rng) -> Endomorphism:

@@ -118,12 +118,12 @@ def _dense_apply(f, g):
     rank = ctx.rank
     subs = []
     for img in f.images:
-        x = [list(blk) for blk in img._magnus()]
+        x = [list(blk) for blk in img._series]
         x[0][0] -= 1
         subs.append(x)
     mono = {(0, 0): _unit_series(ctx)}
     out = _zero_series(ctx)
-    for deg, blk in enumerate(g._magnus()):
+    for deg, blk in enumerate(g._series):
         for idx, c in enumerate(blk):
             if deg:
                 mono[deg, idx] = _series_mul(ctx, mono[deg - 1, idx // rank], subs[idx % rank])
@@ -149,10 +149,10 @@ def test_apply_matches_dense_substitution(rank, nil_class):
         for _ in range(2):
             eager = random_element(ctx, rng, bound=2)
             lazy = invert(random_element(ctx, rng, bound=2))
-            assert eager._series is None and lazy._exponents is None
+            assert lazy._exponents is None
             for g in (eager, lazy):
                 ref = _dense_apply(f, g)
-                assert apply(f, g)._magnus() == ref
+                assert apply(f, g)._series == ref
         # the top degree is never stored, and in K_d every monomial of
         # degree above s - d maps to itself
         assert all(_degree_of(ctx, pos) < s for pos in f._mon_images)
@@ -274,6 +274,49 @@ def test_k_depth_and_filtration_closure():
                 assert in_K(f, m - 1)
     f2 = random_k_member(ctx, rng, 2, nontrivial=True)
     assert k_depth(f2) == 2
+
+
+# image exponents of random_k_member(CTX33, random.Random(k), m) by (m, k);
+# no tail drawn here is trivial, so nontrivial=True makes the same draws
+K_MEMBER_PINS = {
+    (1, 0): [
+        (1, 0, 0, 3, 0, 3, 0, -3, -1, 1, 0, 0, 3, 3),
+        (0, 1, 0, -1, 0, -1, 1, -2, 1, -2, -1, -2, 3, -3),
+        (0, 0, 1, 1, 3, -1, 1, 2, 3, 1, -2, -1, -3, 2),
+    ],
+    (1, 1): [
+        (1, 0, 0, -2, 1, 3, 3, 3, -3, -1, -3, 0, 3, 0),
+        (0, 1, 0, 0, 2, 0, 3, -2, -3, 0, -3, 3, 0, 0),
+        (0, 0, 1, 1, 3, 3, -3, 2, 0, -1, 2, 3, -2, 1),
+    ],
+    (1, 2): [
+        (1, 0, 0, 3, 3, -3, -3, -3, -1, 3, -2, 2, 3, 2),
+        (0, 1, 0, 3, -1, -1, 1, -2, 1, -3, 1, 2, -2, 0),
+        (0, 0, 1, 2, 0, 3, 2, 3, 1, -1, 1, 0, 1, -1),
+    ],
+    (2, 0): [
+        (1, 0, 0, 0, 0, 0, 3, 0, 3, 0, -3, -1, 1, 0),
+        (0, 1, 0, 0, 0, 0, 0, 3, 3, -1, 0, -1, 1, -2),
+        (0, 0, 1, 0, 0, 0, 1, -2, -1, -2, 3, -3, 1, 3),
+    ],
+    (2, 1): [
+        (1, 0, 0, 0, 0, 0, -2, 1, 3, 3, 3, -3, -1, -3),
+        (0, 1, 0, 0, 0, 0, 0, 3, 0, 0, 2, 0, 3, -2),
+        (0, 0, 1, 0, 0, 0, -3, 0, -3, 3, 0, 0, 1, 3),
+    ],
+    (2, 2): [
+        (1, 0, 0, 0, 0, 0, 3, 3, -3, -3, -3, -1, 3, -2),
+        (0, 1, 0, 0, 0, 0, 2, 3, 2, 3, -1, -1, 1, -2),
+        (0, 0, 1, 0, 0, 0, 1, -3, 1, 2, -2, 0, 2, 0),
+    ],
+}
+
+
+def test_random_k_member_draws_are_pinned():
+    for (m, k), images in K_MEMBER_PINS.items():
+        for nontrivial in (False, True):
+            f = random_k_member(CTX33, random.Random(k), m, nontrivial=nontrivial)
+            assert [g.exponents for g in f.images] == images
 
 
 @pytest.mark.parametrize("rank,nil_class", [(2, 3), (3, 3), (2, 5)])

@@ -83,6 +83,8 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         {"suite": "ring-Z", "seed": "4"},
         {"suite": "ring-Z", "trials": 2.5},
         {"suite": ["ring-Z"]},
+        {"suite": "ring-Z", "rnak": 3, "trials": 2},
+        {"suite": "ring-Z", "nil_class": 3, "trials": 2},
     ]
     for k, bad in enumerate(bad_configs):
         cfg.write_text(json.dumps(bad))
@@ -238,5 +240,22 @@ def test_elements_from_coordinates_are_built_only_in_nilgroup():
             if (isinstance(func, ast.Name) and func.id == "GroupElement") or (
                 isinstance(func, ast.Attribute) and func.attr == "GroupElement"
             ):
+                found.append("%s:%d" % (os.path.basename(path), node.lineno))
+    assert found == []
+
+
+def test_coordinates_leave_nilgroup_only_through_its_readers():
+    # an element is its series; outside nilgroup its coordinates are read
+    # only through .exponents, format_element and element_to_json
+    pkg = os.path.dirname(os.path.abspath(nilaut.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        if os.path.basename(path) == "nilgroup.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            names = {getattr(node, field, None) for field in ("attr", "id", "name")}
+            if names & {"_exponents", "_magnus"}:
                 found.append("%s:%d" % (os.path.basename(path), node.lineno))
     assert found == []

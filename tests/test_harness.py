@@ -305,3 +305,46 @@ def test_falsifier_catalogue_stops_before_the_swap_side(monkeypatch):
     assert set(check["witness"]) == {"catalog", "index", "matrix"}
     assert check["certificate"] == {"diag_catalog": 6, "swap_catalog": 6}
     assert len(_cases_before(log, "diagonalizability-vs-order3")) == 2
+
+
+def _pair_loop_report(monkeypatch, name, wrong):
+    # run proposition-sigma at (2,2) with harness.<name> answering wrongly
+    # at the second (theta, sigma) pair, theta 0 against sigma 1
+    from nilaut import harness
+
+    real = getattr(harness, name)
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        got = real(*args)
+        return wrong(got) if len(calls) == 2 else got
+
+    monkeypatch.setattr(harness, name, wrapped)
+    report = run_suite(SuiteConfig("proposition-sigma", rank=2, nil_class=2, trials=3, seed=1))
+    assert len(calls) == 2
+    return _record(report, "necessity-descent"), _record(report, "abelianized-shadow")
+
+
+def test_pair_loop_stops_at_first_descent_failure(monkeypatch):
+    from nilaut.sigma import NecessityVerdict
+
+    descent, shadow = _pair_loop_report(
+        monkeypatch, "descent_verdict", lambda v: NecessityVerdict(False, v.trace, [2])
+    )
+    assert not descent["passed"] and descent["trials"] == 2
+    assert descent["witness"]["theta_index"] == 0 and descent["witness"]["sigma_index"] == 1
+    assert descent["witness"]["violations"] == [2]
+    assert shadow["passed"] and shadow["trials"] == 2 and shadow["witness"] is None
+
+
+def test_pair_loop_stops_at_first_shadow_failure(monkeypatch):
+    from nilaut.glz import IntMatrix
+
+    zero = IntMatrix([[0, 0], [0, 0]])
+    descent, shadow = _pair_loop_report(
+        monkeypatch, "matrix_sigma_sequence", lambda mats: [zero for _ in mats]
+    )
+    assert descent["passed"] and descent["trials"] == 2 and descent["witness"] is None
+    assert not shadow["passed"] and shadow["trials"] == 2
+    assert shadow["witness"] == {"theta_index": 0, "sigma_index": 1}

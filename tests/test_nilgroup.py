@@ -217,7 +217,7 @@ def test_results_keep_their_series(n, s):
 
     def check():
         for r in results:
-            assert r._magnus() == ng._series_of_coords(ctx, r.exponents)
+            assert r._series == ng._series_of_coords(ctx, r.exponents)
 
     check()
     acc = identity(ctx)
@@ -304,20 +304,64 @@ def test_lazy_and_eager_elements_agree(n, s):
             want = [weight(eager), eager.is_identity(), ng.abelianization(eager)]
             want += [project_to_class(eager, m).exponents for m in range(1, s)]
             assert got == want
-            assert eager._series is None
             assert project_to_class(r, s) is r
 
-            lazy = ng._from_series(ctx, r._magnus())
+            lazy = ng._from_series(ctx, r._series)
             assert lazy == eager and eager == lazy
             assert lazy._exponents is None
             other = list(eager.exponents)
             other[-1] += 1
             assert lazy != from_exponents(ctx, other)
             assert hash(lazy) == hash(eager)
-    ser = [list(blk) for blk in a._magnus()]
+    ser = [list(blk) for blk in a._series]
     ser[0][0] = 2
     with pytest.raises(InternalError):
         ng._from_series(ctx, ser)
+
+
+@pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (2, 5), (4, 4)])
+def test_queries_read_no_coordinates(n, s, monkeypatch):
+    # an element is its series: hashing, equality and the five queries read
+    # it, and only the text boundary reads the coordinates off, once
+    from nilaut.automorphisms import apply
+    from nilaut.sampling import random_automorphism
+
+    ctx = GroupContext.get(n, s)
+    rng = random.Random(800 + 10 * n + s)
+    f = random_automorphism(ctx, rng)
+    a, b = rand_elt(ctx, rng), rand_elt(ctx, rng)
+    word = [(rng.randint(1, n), rng.choice((1, -1))) for _ in range(10)]
+    results = [
+        multiply(a, b),
+        invert(a),
+        power(b, -3),
+        commutator(a, b),
+        collect(ctx, word),
+        apply(f, a),
+    ]
+    readoffs = []
+    real_read = ng._series_to_coords
+
+    def counting_read(c, ser):
+        readoffs.append(c)
+        return real_read(c, ser)
+
+    monkeypatch.setattr(ng, "_series_to_coords", counting_read)
+    for r, other in zip(results, results[1:] + results[:1]):
+        hash(r)
+        assert r == r and not (r != r)
+        assert (r == other) != (r != other)
+        weight(r)
+        r.is_identity()
+        ng.abelianization(r)
+        for m in range(1, s + 1):
+            project_to_class(r, m)
+        assert readoffs == []
+        format_element(r)
+        assert len(readoffs) == 1
+        format_element(r)
+        assert len(readoffs) == 1
+        readoffs.clear()
 
 
 def test_projection_is_homomorphism():
