@@ -101,12 +101,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = _config_from_args(args).normalized()
-    except InputError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        report = run_suite(cfg)
+        report = run_suite(_config_from_args(args))
     except InputError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

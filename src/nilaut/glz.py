@@ -76,7 +76,7 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         if n < 1:
             raise InputError("matrix needs at least one row")
-        return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @property
     def is_square(self) -> bool:
@@ -151,39 +151,18 @@ class IntMatrix:
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse; requires det in {1, -1}.
 
-        Fraction-free (Bareiss) Gauss-Jordan on [A | I], in integers
-        throughout: after the step at column k the first k + 1 columns of
-        the left block are p_k times the identity, and every division by
-        the previous pivot is exact.  The last pivot is +-det, so the right
-        block is +-det times the inverse and divides exactly.
+        The row Hermite form of a unimodular matrix is the identity, so the
+        transform T of `hermite_form`, with T @ A == I, is the inverse.  Any
+        other Hermite form means det is not +-1.
         """
         if not self.is_square:
             raise InputError("inverse needs a square matrix")
-        n = self.nrows
-        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
-        sign = 1
-        prev = 1
-        for k in range(n):
-            if aug[k][k] == 0:
-                piv = next((r for r in range(k + 1, n) if aug[r][k]), None)
-                if piv is None:
-                    raise DomainError("matrix is not unimodular (det 0)")
-                aug[k], aug[piv] = aug[piv], aug[k]
-                sign = -sign
-            pivot_row = aug[k]
-            pk = pivot_row[k]
-            for i in range(n):
-                if i != k:
-                    f = aug[i][k]
-                    aug[i] = [(pk * a - f * b) // prev for a, b in zip(aug[i], pivot_row)]
-            prev = pk
-        d = sign * prev
-        if d not in (1, -1):
-            raise DomainError("matrix is not unimodular (det %d)" % d)
-        # prev is +-1, so dividing by it is multiplying by it
-        inv = IntMatrix._trusted(tuple(tuple([prev * x for x in row[n:]]) for row in aug))
+        h, _, t = hermite_form(self.rows, with_transform=True)
+        if h != IntMatrix.identity(self.nrows).to_json():
+            raise DomainError("matrix is not unimodular")
+        inv = IntMatrix._trusted(tuple(map(tuple, t)))
         if not (self @ inv).is_identity():
-            raise InternalError("fraction-free inverse does not invert its input")
+            raise InternalError("Hermite transform does not invert its input")
         return inv
 
     def power(self, k: int) -> "IntMatrix":
@@ -236,12 +215,16 @@ def hermite_form(rows, with_transform=False):
 
     Zero rows sink to the bottom and are dropped from the result.  With
     with_transform=True also returns a unimodular T with T @ input == the
-    untruncated form.
+    untruncated form: T rides along as m extra columns of the m input rows,
+    [A | I] becomes [H | T], and pivots are taken in A's columns only.
     """
     mat = [list(map(int, r)) for r in rows]
     m = len(mat)
     ncols = len(mat[0]) if m else 0
-    t = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if with_transform else None
+    if with_transform:
+        for i, r in enumerate(mat):
+            r.extend([0] * m)
+            r[ncols + i] = 1
     row = 0
     for col in range(ncols):
         piv = None
@@ -252,36 +235,26 @@ def hermite_form(rows, with_transform=False):
         if piv is None:
             continue
         mat[row], mat[piv] = mat[piv], mat[row]
-        if t is not None:
-            t[row], t[piv] = t[piv], t[row]
         for r in range(row + 1, m):
             while mat[r][col]:
                 q = mat[r][col] // mat[row][col]
                 if q:
                     mat[r] = [a - q * b for a, b in zip(mat[r], mat[row])]
-                    if t is not None:
-                        t[r] = [a - q * b for a, b in zip(t[r], t[row])]
                 if mat[r][col]:
                     mat[row], mat[r] = mat[r], mat[row]
-                    if t is not None:
-                        t[row], t[r] = t[r], t[row]
         if mat[row][col] < 0:
             mat[row] = [-a for a in mat[row]]
-            if t is not None:
-                t[row] = [-a for a in t[row]]
         for r in range(row):
             q = mat[r][col] // mat[row][col]
             if q:
                 mat[r] = [a - q * b for a, b in zip(mat[r], mat[row])]
-                if t is not None:
-                    t[r] = [a - q * b for a, b in zip(t[r], t[row])]
         row += 1
         if row == m:
             break
-    nonzero = [r for r in mat if any(r)]
     if with_transform:
-        return nonzero, mat, t
-    return nonzero
+        full = [r[:ncols] for r in mat]
+        return [r for r in full if any(r)], full, [r[ncols:] for r in mat]
+    return [r for r in mat if any(r)]
 
 
 def smith_normal_form(mat):
@@ -509,35 +482,30 @@ def classify_involution2(mat: IntMatrix):
     """Conjugacy class of a 2x2 integer involution with an explicit witness.
 
     Returns (cls, P) with P unimodular and P @ rep @ P^-1 == mat.  The
-    class is decided by the index of Fix + Neg in Z^2: primitive
-    eigenvectors u (fixed) and v (negated) span a sublattice of index
-    |det[u v]| which is 1 for the diagonal class and 2 for the swap class.
+    class is decided by the index of Fix + Neg in Z^2, read off
+    `involution_eigenlattices`: primitive eigenvectors u (fixed) and v
+    (negated) span a sublattice of index |det[u v]| which is 1 for the
+    diagonal class and 2 for the swap class.
     """
     if mat.nrows != 2 or mat.ncols != 2:
         raise InputError("classification expects a 2x2 matrix")
-    if not (mat @ mat).is_identity():
-        raise DomainError("matrix is not an involution")
-    if mat.is_identity():
+    fix, neg, splits = involution_eigenlattices(mat)
+    if not neg:
         return InvolutionClass.PLUS_IDENTITY, IntMatrix.identity(2)
-    if mat == -IntMatrix.identity(2):
+    if not fix:
         return InvolutionClass.MINUS_IDENTITY, IntMatrix.identity(2)
     # a non-central involution fixes a line and negates a line
-    eye = IntMatrix.identity(2)
-    (u,) = kernel_basis(mat - eye)
-    (v,) = kernel_basis(mat + eye)
-    dd = u[0] * v[1] - u[1] * v[0]
-    if abs(dd) == 1:
+    (u,), (v,) = fix, neg
+    if splits:
         cls = InvolutionClass.DIAGONAL
         p = IntMatrix([[u[0], v[0]], [u[1], v[1]]])
-    elif abs(dd) == 2:
+    else:
         cls = InvolutionClass.SWAP
         p0 = ((u[0] + v[0]) // 2, (u[1] + v[1]) // 2)
         p1 = ((u[0] - v[0]) // 2, (u[1] - v[1]) // 2)
         if 2 * p0[0] != u[0] + v[0] or 2 * p0[1] != u[1] + v[1]:
             raise InternalError("eigenvectors of a swap involution have odd sum")
         p = IntMatrix([[p0[0], p1[0]], [p0[1], p1[1]]])
-    else:
-        raise InternalError("eigenlattice index outside {1, 2}")
     if p @ _CLASS_REPS[cls] @ p.inverse_unimodular() != mat:
         raise InternalError("classifying conjugator does not conjugate the representative")
     return cls, p
@@ -855,7 +823,7 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         restriction = SWAP_REP
     split = InvariantSplitting(
         Sublattice(n, b_rows),
-        Sublattice(n, c_rows) if c_rows else Sublattice.zero(n),
+        Sublattice(n, c_rows),
         restriction,
         IntMatrix(b_rows + c_rows).transpose(),
     )

@@ -13,7 +13,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from itertools import chain
 
 from . import __version__
@@ -178,7 +178,7 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(x) for x in obj]
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonify(v) for k, v in vars(obj).items()} if hasattr(obj, "__dict__") else _jsonify(asdict(obj))
+        return {k: _jsonify(v) for k, v in vars(obj).items()}
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     return repr(obj)

@@ -235,7 +235,7 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
         if not splits:
             continue
         for rows in (fix, neg):
-            lat = Sublattice(n, rows) if rows else Sublattice.zero(n)
+            lat = Sublattice(n, rows)
             if lat not in summands:
                 summands.append(lat)
     if not all(is_direct_summand(s) for s in summands):

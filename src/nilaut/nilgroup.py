@@ -112,10 +112,11 @@ def _build_basis(rank: int, cls: int):
 
 
 # A series holds sum(rank**d, d <= s) integers; larger contexts are refused.
-# Set-up time grows about as the cube of the top weight's dimension (the
-# inverse of its Lyndon minor).  Measured on a 2-core VM: (3,6), 1,093
-# entries, 0.5 s; (4,5), 1,365, 1.9 s; (10,3), 1,111, 8 s; (6,4), 1,555,
-# 8.7 s; (3,7), 3,280, 8.9 s and 53 MB.
+# Set-up is the basis series and one Hermite inverse per Lyndon minor, whose
+# check product grows as the cube of the top weight's dimension.  Measured
+# on a 2-core VM (Python 3.11): (3,6), 1,093 entries, 0.2 s; (4,5), 1,365,
+# 0.6 s; (10,3), 1,111, 1.7 s; (36,2), 1,333, 9 s (a 630-row minor); (6,4),
+# 1,555, 1.6 s; (3,7), 3,280, 2.4 s, 52 MB.
 MAX_SERIES_ENTRIES = 1400
 
 

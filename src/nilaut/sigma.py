@@ -31,6 +31,7 @@ from .automorphisms import (
     lift_matrix,
 )
 from .glz import (
+    DIAG_REP,
     IntMatrix,
     InvolutionClass,
     _family_matrix,
@@ -198,10 +199,11 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
         # are torsion free.
         return None
     split = invariant_splitting(amat)
-    s0 = split.restriction
     frame = split.frame
     frame_inv = frame.inverse_unimodular()
-    cls, p_s0 = classify_involution2(s0)
+    # the restriction is DIAG_REP or SWAP_REP, which classify_involution2
+    # conjugates by the identity, so p_i alone carries it to walk member i
+    cls = InvolutionClass.DIAGONAL if split.restriction == DIAG_REP else InvolutionClass.SWAP
     parity = "even" if cls is InvolutionClass.DIAGONAL else "odd"
     seed2 = IntMatrix([[1, 1], [0, 1]])
     try:
@@ -212,14 +214,12 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     sigma = lift_matrix(ctx, frame @ _embed_block(seed2, n) @ frame_inv)
     thetas = []
     conjugators = []
-    p_s0_inv = p_s0.inverse_unimodular()
     for rec in walk_recs:
         t_i = _family_matrix(rec.parity, rec.m, rec.orientation)
         cls_i, p_i = classify_involution2(t_i)
         if cls_i is not cls:
             raise InternalError("walk family member left the involution class")
-        q_i = p_i @ p_s0_inv
-        rho = lift_matrix(ctx, frame @ _embed_block(q_i, n) @ frame_inv)
+        rho = lift_matrix(ctx, frame @ _embed_block(p_i, n) @ frame_inv)
         conjugators.append(rho)
         thetas.append(conjugate(rho, theta))
     trace = sigma_sequence(sigma, thetas, s)

@@ -1,9 +1,11 @@
+import ast
 import math
 import random
 from itertools import combinations, product
 
 import pytest
 
+from nilaut import glz
 from nilaut.errors import DomainError, InputError
 from nilaut.glz import (
     WALK_CERT_MODULUS,
@@ -52,8 +54,8 @@ def test_matrix_basics():
 
 def test_inverse_unimodular_fraction_free():
     rng = random.Random(31)
-    for n in (2, 3, 4, 5):
-        for _ in range(40):
+    for n, count in ((2, 40), (3, 40), (4, 40), (5, 40), (6, 4), (7, 4), (8, 4)):
+        for _ in range(count):
             rows = list(random_unimodular(rng, n).rows)
             # shuffled rows put zeros on the diagonal and force pivot swaps
             rng.shuffle(rows)
@@ -67,6 +69,19 @@ def test_inverse_unimodular_fraction_free():
             bad.inverse_unimodular()
     with pytest.raises(InputError):
         M((1, 0, 0), (0, 1, 0)).inverse_unimodular()
+
+
+def test_inverse_unimodular_is_one_hermite_transform():
+    # the inverse is the transform of hermite_form, with no elimination of
+    # its own
+    with open(glz.__file__) as fh:
+        tree = ast.parse(fh.read())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "IntMatrix")
+    fn = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "inverse_unimodular")
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [node.lineno for node in ast.walk(fn) if isinstance(node, loops)]
+    calls = [node.func for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    assert "hermite_form" in {f.id for f in calls if isinstance(f, ast.Name)}
 
 
 def _ref_mul(a, b):
@@ -168,6 +183,20 @@ def test_classify_involution_examples():
     assert cls is InvolutionClass.MINUS_IDENTITY and p.is_identity()
     with pytest.raises(DomainError):
         classify_involution2(M((1, 1), (0, 1)))
+
+
+def test_class_representatives_classify_by_the_identity():
+    # find_nontrivial_witness relies on this: its restriction is DIAG_REP or
+    # SWAP_REP, so no conjugator of its own is needed
+    eye = IntMatrix.identity(2)
+    for rep, want in (
+        (DIAG_REP, InvolutionClass.DIAGONAL),
+        (SWAP_REP, InvolutionClass.SWAP),
+        (eye, InvolutionClass.PLUS_IDENTITY),
+        (-eye, InvolutionClass.MINUS_IDENTITY),
+    ):
+        cls, p = classify_involution2(rep)
+        assert cls is want and p == eye
 
 
 def test_eq2_families():

@@ -4,6 +4,7 @@ import pytest
 
 from nilaut import nilgroup as ng
 from nilaut.errors import InputError, InternalError
+from nilaut.glz import IntMatrix
 from nilaut.nilgroup import (
     FreeWord,
     GroupContext,
@@ -242,6 +243,24 @@ def test_lyndon_positions():
         for w in range(1, s + 1):
             lo, hi = ctx.weight_range(w)
             assert len(ng._lyndon_positions(n, w)) == hi - lo
+
+
+@pytest.mark.parametrize("n,s", [(4, 5), (10, 3)])
+def test_largest_lyndon_minors_invert(n, s):
+    # the top minors of the largest class at ranks 4 and 10 (204 and 330
+    # rows): at every weight the stored inverse inverts the Lyndon minor
+    # from both sides, and coordinates survive a trip through the series
+    ctx = GroupContext.get(n, s)
+    for w in range(1, s + 1):
+        lo, hi = ctx.weight_range(w)
+        lyndon, inv_rows, _ = ctx._solvers[w]
+        minor = IntMatrix([[ctx._basis_series[i][w][p] for i in range(lo, hi)] for p in lyndon])
+        inv = IntMatrix(inv_rows)
+        assert (minor @ inv).is_identity() and (inv @ minor).is_identity()
+    rng = random.Random(n * 10 + s)
+    for _ in range(3):
+        exps = tuple(rng.randint(-3, 3) for _ in range(ctx.dim))
+        assert ng._from_series(ctx, from_exponents(ctx, exps)._series).exponents == exps
 
 
 def test_readoff_rejects_non_group_series():
