@@ -506,7 +506,8 @@ def classify_involution2(mat: IntMatrix):
         if 2 * p0[0] != u[0] + v[0] or 2 * p0[1] != u[1] + v[1]:
             raise InternalError("eigenvectors of a swap involution have odd sum")
         p = IntMatrix([[p0[0], p1[0]], [p0[1], p1[1]]])
-    if p @ _CLASS_REPS[cls] @ p.inverse_unimodular() != mat:
+    # P rep P^-1 == mat for a unimodular P, checked without inverting P
+    if p.det() not in (1, -1) or p @ _CLASS_REPS[cls] != mat @ p:
         raise InternalError("classifying conjugator does not conjugate the representative")
     return cls, p
 
@@ -704,14 +705,15 @@ def is_diagonalizable_involution(mat: IntMatrix) -> bool:
     return involution_eigenlattices(mat)[2]
 
 
-def random_unimodular(rng, n: int, min_factors: int = 5, max_factors: int = 15, bound: int = 3) -> IntMatrix:
-    """Product of random elementary shear matrices, entries in [-bound, bound].
+def _random_shears(rng, n: int, min_factors: int, max_factors: int, bound: int):
+    """(P, P^-1) for a product P of random shears I + k E_ij, k in [-bound, bound].
 
-    Needs n >= 2, since a shear has two distinct indices.
+    The draw loop of `random_unimodular`.  P = E_1 ... E_m, so P^-1 is the
+    reversed product of the negated shears E_m^-1 ... E_1^-1, built
+    alongside P at no extra draw.
     """
-    if n < 2:
-        raise InputError("random unimodular matrices need n >= 2, got %r" % (n,))
     out = [[int(a == b) for b in range(n)] for a in range(n)]
+    inv = [row[:] for row in out]
     for _ in range(rng.randint(min_factors, max_factors)):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -721,7 +723,19 @@ def random_unimodular(rng, n: int, min_factors: int = 5, max_factors: int = 15, 
         # right multiplication by I + k E_ij adds k times column i to column j
         for row in out:
             row[j] += k * row[i]
-    return IntMatrix._trusted(tuple(map(tuple, out)))
+        # left multiplication by I - k E_ij subtracts k times row j from row i
+        inv[i] = [a - k * b for a, b in zip(inv[i], inv[j])]
+    return IntMatrix._trusted(tuple(map(tuple, out))), IntMatrix._trusted(tuple(map(tuple, inv)))
+
+
+def random_unimodular(rng, n: int, min_factors: int = 5, max_factors: int = 15, bound: int = 3) -> IntMatrix:
+    """Product of random elementary shear matrices, entries in [-bound, bound].
+
+    Needs n >= 2, since a shear has two distinct indices.
+    """
+    if n < 2:
+        raise InputError("random unimodular matrices need n >= 2, got %r" % (n,))
+    return _random_shears(rng, n, min_factors, max_factors, bound)[0]
 
 
 def order3_falsifier(mat: IntMatrix, samples: int, rng):
@@ -733,22 +747,37 @@ def order3_falsifier(mat: IntMatrix, samples: int, rng):
     matrices with entries in [-2, 2], transported through the class
     normalizing frame so the same budget reaches witnesses from every
     member of the class.
+
+    A sample is tested without inverting anything.  `classify_involution2`
+    gives mat = F C F^-1 with C the class representative, so with
+    g = F r F^-1 and h = F q F^-1 the product a b is conjugate to
+    (r C r^-1)(q C q^-1), and r^-1, q^-1 come with the shears that build r
+    and q.  A non-central involution of Z^2 has eigenvalues 1 and -1, so
+    both factors have det -1 and the product det 1; by Cayley-Hamilton a
+    det-1 matrix in GL(2,Z) has order three exactly when its trace is -1.
+    Only on a hit are g, h, a, b and their product built and checked.
     """
     if mat.nrows != 2 or mat.ncols != 2:
         raise InputError("falsifier expects a 2x2 matrix")
-    if not (mat @ mat).is_identity():
-        raise DomainError("matrix is not an involution")
-    if mat.is_central():
+    cls, frame = classify_involution2(mat)
+    if cls in (InvolutionClass.PLUS_IDENTITY, InvolutionClass.MINUS_IDENTITY):
         raise DomainError("falsifier needs a non-central involution")
-    _, frame = classify_involution2(mat)
-    frame_inv = frame.inverse_unimodular()
+    rep = _CLASS_REPS[cls]
     for _ in range(samples):
-        g = frame @ random_unimodular(rng, 2, 1, 6, 2) @ frame_inv
-        h = frame @ random_unimodular(rng, 2, 1, 6, 2) @ frame_inv
+        r, r_inv = _random_shears(rng, 2, 1, 6, 2)
+        q, q_inv = _random_shears(rng, 2, 1, 6, 2)
+        x = r @ rep @ r_inv @ q @ rep @ q_inv
+        if x.rows[0][0] + x.rows[1][1] != -1:
+            continue
+        frame_inv = frame.inverse_unimodular()
+        g = frame @ r @ frame_inv
+        h = frame @ q @ frame_inv
         a = g @ mat @ g.inverse_unimodular()
         b = h @ mat @ h.inverse_unimodular()
-        if element_order(a @ b) == 3:
-            return {"g": g, "h": h, "a": a, "b": b, "product": a @ b}
+        product = a @ b
+        if element_order(product) != 3:
+            raise InternalError("a product of trace -1 does not have order three")
+        return {"g": g, "h": h, "a": a, "b": b, "product": product}
     return None
 
 

@@ -12,6 +12,9 @@ as summands, and a matrix encoding of the ring of integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, mul
 
 from .errors import DomainError, InputError, InternalError
 from .automorphisms import (
@@ -201,6 +204,34 @@ class StructureM:
         }
 
 
+def _row_values(row, cols):
+    """row . v for every vector v, where cols[k] lists coordinate k of each v.
+
+    The row must have a nonzero entry.
+    """
+    return list(reduce(partial(map, add), [map(mul, repeat(c), col) for c, col in zip(row, cols) if c]))
+
+
+def _images(mat: IntMatrix, cols):
+    """mat @ v as a tuple for every vector v, one matrix row at a time."""
+    return zip(*[_row_values(row, cols) for row in mat.rows])
+
+
+def _common_zeros(rows, vectors, cols):
+    """Indices of the vectors on which every one of the nonzero rows vanishes.
+
+    The first row is evaluated on the whole sort at once, the others only
+    on the few vectors where it vanishes.  There is a first row, since no
+    harvested involution is +-I.
+    """
+    first, rest = _row_values(rows[0], cols), rows[1:]
+    return [
+        vi
+        for vi, x in enumerate(first)
+        if not x and not any(sum(map(mul, row, vectors[vi])) for row in rest)
+    ]
+
+
 def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 12) -> StructureM:
     """A finite sampled approximation of the multi-sorted structure.
 
@@ -213,6 +244,14 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
     matrix in turn); one insertion-ordered dict is both the sort and the
     index the action relation reads, so every relation tuple is a
     function of the seed.
+
+    The relations on vectors are computed a batch at a time, one
+    coordinate column of the whole vector sort at once.  Membership: each
+    summand is Fix(f) or Neg(f) of a splitting involution f, that is the
+    saturated kernel of f - I or f + I, so v is a member exactly when the
+    nonzero rows of that matrix vanish on v; the rows are kept when the
+    summand is first harvested.  Action: each matrix maps the whole sort
+    in one pass, and each image is looked up in the index.
     """
     if n < 2:
         raise InputError("rank must be at least 2")
@@ -230,14 +269,16 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
         base = involutions[rng.randrange(len(involutions))]
         involutions.append(q @ base @ q.inverse_unimodular())
     summands = []
+    equations = []  # per summand, the nonzero rows of f - I or f + I
     for f in involutions:
         fix, neg, splits = involution_eigenlattices(f)
         if not splits:
             continue
-        for rows in (fix, neg):
+        for rows, eq in ((fix, f - eye), (neg, f + eye)):
             lat = Sublattice(n, rows)
             if lat not in summands:
                 summands.append(lat)
+                equations.append([r for r in eq.rows if any(r)])
     if not all(is_direct_summand(s) for s in summands):
         raise InternalError("a harvested eigenlattice is not a direct summand")
     # the vector sort, in insertion order: vector -> its position
@@ -251,14 +292,13 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
     for _ in range(vector_samples):
         add_vector(tuple(rng.randint(-4, 4) for _ in range(n)))
     for mat in auts:
-        for v in list(index):
-            add_vector(mat @ v)
+        for v in _images(mat, list(zip(*index))):
+            add_vector(v)
     vectors = list(index)
-    membership = []
-    for vi, v in enumerate(vectors):
-        for si, s in enumerate(summands):
-            if s.contains(v):
-                membership.append((vi, si))
+    cols = list(zip(*vectors))
+    membership = sorted(
+        (vi, si) for si, eqs in enumerate(equations) for vi in _common_zeros(eqs, vectors, cols)
+    )
     inclusion = []
     complement_pairs = []
     for i, a in enumerate(summands):
@@ -269,10 +309,10 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
                 complement_pairs.append((i, j))
     action = []
     for mi, mat in enumerate(auts):
-        for vi, v in enumerate(vectors):
-            out = tuple(mat @ v)
-            if out in index:
-                action.append((mi, vi, index[out]))
+        for vi, out in enumerate(_images(mat, cols)):
+            ri = index.get(out)
+            if ri is not None:
+                action.append((mi, vi, ri))
     return StructureM(
         rank=n,
         vectors=vectors,

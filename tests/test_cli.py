@@ -143,14 +143,20 @@ def test_falsifier_miss_is_a_search_error(capsys):
     assert "search error" in capsys.readouterr().err
 
 
-def test_optimized_interpreter_gives_the_same_report(tmp_path):
+@pytest.mark.parametrize(
+    "suite,rank,trials,seed",
+    # interp-M runs the batched structure relations and the falsifier's checks
+    [("proposition-sigma", 2, 3, 7), ("interp-M", 3, 60, 11)],
+    ids=["proposition-sigma", "interp-M"],
+)
+def test_optimized_interpreter_gives_the_same_report(tmp_path, suite, rank, trials, seed):
     # internal invariants raise InternalError explicitly, so `python -O`,
     # which strips bare asserts, runs the same checks and writes the same bytes
     src = os.path.dirname(os.path.dirname(os.path.abspath(nilaut.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    args = ["-m", "nilaut", "verify", "--suite", "proposition-sigma", "--rank", "2",
-            "--class", "2", "--trials", "3", "--seed", "7", "--report"]
+    args = ["-m", "nilaut", "verify", "--suite", suite, "--rank", str(rank),
+            "--class", "2", "--trials", str(trials), "--seed", str(seed), "--report"]
     texts = []
     for flags, name in (([], "plain.json"), (["-O"], "optimized.json")):
         path = tmp_path / name

@@ -666,6 +666,105 @@ def test_order3_falsifier_diagonal_clean():
         order3_falsifier(-IntMatrix.identity(2), 5, rng)
 
 
+# reference: the per-sample loop that inverts g and h for every sample,
+# independent of the trace test and the shear inverses of order3_falsifier
+def _order3_falsifier_by_inverses(mat, samples, rng):
+    _, frame = classify_involution2(mat)
+    frame_inv = frame.inverse_unimodular()
+    for _ in range(samples):
+        g = frame @ random_unimodular(rng, 2, 1, 6, 2) @ frame_inv
+        h = frame @ random_unimodular(rng, 2, 1, 6, 2) @ frame_inv
+        a = g @ mat @ g.inverse_unimodular()
+        b = h @ mat @ h.inverse_unimodular()
+        if element_order(a @ b) == 3:
+            return {"g": g, "h": h, "a": a, "b": b, "product": a @ b}
+    return None
+
+
+def test_order3_falsifier_matches_the_per_sample_inverses():
+    # the two catalogues of the interp-M check: each class representative
+    # and five conjugates of it
+    hits = {DIAG_REP: 0, SWAP_REP: 0}
+    for seed in range(24):
+        rng = random.Random(seed)
+        for rep in (DIAG_REP, SWAP_REP):
+            catalog = [rep]
+            for _ in range(5):
+                q = random_unimodular(rng, 2)
+                catalog.append(q @ rep @ q.inverse_unimodular())
+            for i, f in enumerate(catalog):
+                got_rng, want_rng = random.Random(100 * seed + i), random.Random(100 * seed + i)
+                got = order3_falsifier(f, 40, got_rng)
+                assert got == _order3_falsifier_by_inverses(f, 40, want_rng)
+                assert got_rng.getstate() == want_rng.getstate()
+                hits[rep] += got is not None
+    # 40 samples find a witness for most swap-class matrices, not all, so
+    # both branches of the swap search are compared too
+    assert hits[DIAG_REP] == 0 and 0 < hits[SWAP_REP] < 24 * 6
+
+
+def test_order3_falsifier_miss_inverts_nothing(monkeypatch):
+    calls = []
+    real = IntMatrix.inverse_unimodular
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    rng = random.Random(33)
+    q = random_unimodular(rng, 2)
+    f = q @ DIAG_REP @ q.inverse_unimodular()
+    monkeypatch.setattr(IntMatrix, "inverse_unimodular", counting)
+    assert order3_falsifier(f, 200, rng) is None
+    assert calls == []
+    # a hit inverts the frame, g and h once each
+    assert order3_falsifier(SWAP_REP, 200, rng) is not None
+    assert len(calls) == 3
+
+
+def test_order_three_at_det_one_is_trace_minus_one():
+    # Cayley-Hamilton: a det-1 matrix with trace -1 satisfies m^2 + m + I == 0
+    seen = 0
+    for a, b, c, d in product(range(-4, 5), repeat=4):
+        if a * d - b * c == 1:
+            seen += 1
+            assert (element_order(M((a, b), (c, d))) == 3) == (a + d == -1)
+    assert seen > 100
+
+
+def test_random_shears_carry_their_inverse():
+    for n in (2, 3, 4, 5):
+        rng = random.Random(40 + n)
+        for _ in range(10):
+            p, p_inv = glz._random_shears(rng, n, 1, 15, 3)
+            assert (p @ p_inv).is_identity() and (p_inv @ p).is_identity()
+
+
+def _random_unimodular_draws(rng, n, min_factors, max_factors, bound):
+    # the draw sequence random_unimodular has always made: factor count,
+    # then per shear i, j (redrawn until j != i) and the nonzero k
+    out = [[int(a == b) for b in range(n)] for a in range(n)]
+    for _ in range(rng.randint(min_factors, max_factors)):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        while j == i:
+            j = rng.randrange(n)
+        k = rng.choice([x for x in range(-bound, bound + 1) if x])
+        for row in out:
+            row[j] += k * row[i]
+    return IntMatrix(out)
+
+
+def test_random_unimodular_keeps_its_draw_sequence():
+    for n, args in ((2, (5, 15, 3)), (2, (1, 6, 2)), (3, (5, 15, 3)), (5, (5, 15, 3))):
+        for seed in range(5):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = random_unimodular(got_rng, n, *args)
+                assert got == _random_unimodular_draws(want_rng, n, *args)
+                assert got_rng.getstate() == want_rng.getstate()
+
+
 def _check_splitting(f, split):
     n = f.nrows
     assert split.b.rank == 2

@@ -221,6 +221,30 @@ def test_structure_m_reads_each_eigenlattice_once(monkeypatch):
         assert len(set(inputs)) == len(inputs)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_structure_m_batched_relations_are_complete(n):
+    # membership and action rebuilt pair by pair with Sublattice.contains and
+    # mat @ v, so every pair the batched path leaves out is checked too
+    for seed in (5, 6, 7):
+        st = build_structure_M(n, random.Random(seed))
+        index = {v: i for i, v in enumerate(st.vectors)}
+        membership = [
+            (vi, si)
+            for vi, v in enumerate(st.vectors)
+            for si, s in enumerate(st.summands)
+            if s.contains(v)
+        ]
+        action = [
+            (mi, vi, index[mat @ v])
+            for mi, mat in enumerate(st.automorphisms)
+            for vi, v in enumerate(st.vectors)
+            if mat @ v in index
+        ]
+        assert st.membership == membership
+        assert st.action == action
+        assert 0 < len(membership) < len(st.vectors) * len(st.summands)
+
+
 def graph_setup():
     b = Sublattice(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     c = Sublattice(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
