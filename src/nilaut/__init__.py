@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import DomainError, InputError, InternalError, SearchExhausted  # noqa: F401
 from .nilgroup import (  # noqa: F401
-    FreeWord,
     GroupContext,
     GroupElement,
     collect,

@@ -3,8 +3,7 @@
 An endomorphism is determined by the images of the free generators; it
 extends uniquely to the whole group by freeness.  This module hosts the
 kernel filtration K_m (automorphisms acting trivially on the class-m
-quotient), symmetries, inner automorphisms, matrix lifting, and the class
-reduction homomorphism.
+quotient), symmetries, inner automorphisms and matrix lifting.
 
 Composition order is (f o g)(x) = f(g(x)); products of automorphisms
 written multiplicatively mean composition in this order.  Conjugation by a
@@ -13,7 +12,6 @@ group element x is g -> x g x^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import DomainError, InputError, InternalError
@@ -28,13 +26,10 @@ from .nilgroup import (
     generator,
     invert,
     multiply,
-    parse_element,
-    project_to_class,
 )
 
 __all__ = [
     "Endomorphism",
-    "AutomorphismCertificate",
     "identity_endomorphism",
     "apply",
     "compose",
@@ -46,21 +41,12 @@ __all__ = [
     "k_depth",
     "inner",
     "canonical_symmetry",
-    "symmetry_from_automorphism",
     "lift_matrix",
-    "reduce_class",
     "endomorphism_to_json",
-    "endomorphism_from_json",
 ]
 
 
 _UNIT_IMAGE = ((0, 1),)
-
-
-@dataclass(frozen=True)
-class AutomorphismCertificate:
-    abelianized: IntMatrix
-    det: int
 
 
 class Endomorphism:
@@ -238,13 +224,9 @@ def abelianization_matrix(f: Endomorphism) -> IntMatrix:
     return IntMatrix(zip(*map(abelianization, f.images)))
 
 
-def is_automorphism(f: Endomorphism):
-    """(flag, certificate): invertible iff the abelianization is unimodular."""
-    mat = abelianization_matrix(f)
-    d = mat.det()
-    if d in (1, -1):
-        return True, AutomorphismCertificate(mat, d)
-    return False, None
+def is_automorphism(f: Endomorphism) -> bool:
+    """Invertible iff the abelianization is unimodular."""
+    return abelianization_matrix(f).det() in (1, -1)
 
 
 def _defect_weight(f: Endomorphism, j: int) -> int:
@@ -290,8 +272,7 @@ def in_K(f: Endomorphism, m: int) -> bool:
     ctx = f.context
     if not 1 <= m <= ctx.nilpotency_class:
         raise InputError("filtration index %r out of range 1..%d" % (m, ctx.nilpotency_class))
-    ok, _ = is_automorphism(f)
-    if not ok:
+    if not is_automorphism(f):
         raise DomainError("filtration membership is defined for automorphisms")
     return all(_defect_weight(f, j) >= m + 1 for j in range(ctx.rank))
 
@@ -312,8 +293,13 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     degree-k diagonal block A^(x)k for A the abelianized matrix.  So the
     degree-k block of f^-1(x_j) = F^-1(1 + X_j) is (A^-1)^(x)k, one tensor
     factor at a time, on that of 1 + X_j minus F of the blocks below, which
-    scatter through the monomial images of f below degree s.  Both one-sided
-    inverse identities are checked.
+    scatter through the monomial images of f below degree s.
+
+    The result h is checked by h o f == id alone.  That check applies h's
+    own monomial images, not the scatter of f that built h.  f is bijective
+    (its abelianization is unimodular, so f is onto, and a finitely
+    generated nilpotent group is Hopfian), so h o f == id gives h == f^-1,
+    and f o h == id follows.
 
     This is the only writer of the inverse cache: the result is cached on
     f and f is cached on the result, so inverting either one again is a
@@ -321,13 +307,12 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     """
     if f._inverse is not None:
         return f._inverse
-    ok, cert = is_automorphism(f)
-    if not ok:
+    if not is_automorphism(f):
         raise DomainError("endomorphism is not an automorphism")
     ctx = f.context
     s = ctx.nilpotency_class
     offsets = ctx._deg_offsets
-    binv = cert.abelianized.inverse_unimodular().rows
+    binv = abelianization_matrix(f).inverse_unimodular().rows
     images = []
     for j in range(ctx.rank):
         # F of the blocks solved so far minus 1 + X_j, laid out flat
@@ -340,10 +325,8 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
                 f._scatter(acc, offsets[k], ser[k])
         images.append(_from_series(ctx, ser))
     h = Endomorphism(ctx, images)
-    if not _is_identity(compose(f, h)):
-        raise InternalError("the computed inverse is not a right inverse")
     if not _is_identity(compose(h, f)):
-        raise InternalError("the computed inverse is only a right inverse")
+        raise InternalError("the computed inverse is not a left inverse")
     f._inverse = h
     h._inverse = f
     return h
@@ -364,14 +347,6 @@ def canonical_symmetry(ctx: GroupContext) -> Endomorphism:
     return lift_matrix(ctx, -IntMatrix.identity(ctx.rank))
 
 
-def symmetry_from_automorphism(b: Endomorphism) -> Endomorphism:
-    """The symmetry inverting the basis {b(x_1), ..., b(x_n)}."""
-    ok, _ = is_automorphism(b)
-    if not ok:
-        raise DomainError("a symmetry needs an automorphism carrying its basis")
-    return conjugate(b, canonical_symmetry(b.context))
-
-
 def lift_matrix(ctx: GroupContext, mat: IntMatrix) -> Endomorphism:
     """The automorphism x_j -> x_1^{M_1j} ... x_n^{M_nj}.
 
@@ -386,30 +361,8 @@ def lift_matrix(ctx: GroupContext, mat: IntMatrix) -> Endomorphism:
     return Endomorphism(ctx, [from_exponents(ctx, col + pad) for col in zip(*mat.rows)])
 
 
-def reduce_class(f: Endomorphism) -> Endomorphism:
-    """Truncation to the class-(s-1) quotient; a surjective homomorphism
-    with kernel {f : in_K(f, s-1)}."""
-    ctx = f.context
-    if ctx.nilpotency_class < 2:
-        raise DomainError("class reduction needs class at least 2")
-    ok, _ = is_automorphism(f)
-    if not ok:
-        raise DomainError("class reduction is defined for automorphisms")
-    tgt = GroupContext.get(ctx.rank, ctx.nilpotency_class - 1)
-    return Endomorphism(tgt, tuple(project_to_class(img, tgt.nilpotency_class) for img in f.images))
-
-
 def endomorphism_to_json(f: Endomorphism) -> dict:
     return {
         "x%d" % (j + 1): format_element(img) for j, img in enumerate(f.images)
     }
 
-
-def endomorphism_from_json(ctx: GroupContext, data: dict) -> Endomorphism:
-    images = []
-    for j in range(ctx.rank):
-        key = "x%d" % (j + 1)
-        if key not in data:
-            raise InputError("missing image for %s" % key)
-        images.append(parse_element(ctx, data[key]))
-    return Endomorphism(ctx, images)

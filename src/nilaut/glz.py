@@ -82,9 +82,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -165,20 +162,6 @@ class IntMatrix:
             raise InternalError("Hermite transform does not invert its input")
         return inv
 
-    def power(self, k: int) -> "IntMatrix":
-        if not self.is_square:
-            raise InputError("power needs a square matrix")
-        if k < 0:
-            return self.inverse_unimodular().power(-k)
-        out = IntMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
     def is_identity(self) -> bool:
         # in place: each row i holds a 1 at i and n - 1 zeros
         n = self.nrows
@@ -199,10 +182,6 @@ class IntMatrix:
 
     def to_json(self):
         return [list(r) for r in self.rows]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +289,7 @@ class Sublattice:
     """A sublattice of Z^n with canonical Hermite-form row basis.
 
     `pivots[i]` is the column of the leading entry of `basis[i]`, stored
-    once by every constructor.
+    once at construction.
     """
 
     __slots__ = ("ambient", "basis", "pivots")
@@ -323,23 +302,9 @@ class Sublattice:
         h = hermite_form(rows)
         if len(h) != len([r for r in rows if any(r)]):
             raise InputError("basis rows are linearly dependent")
-        self._set_basis(ambient, h)
-
-    @classmethod
-    def spanned_by(cls, ambient: int, vectors) -> "Sublattice":
-        """Span of arbitrary vectors; dependent generators are allowed."""
-        obj = object.__new__(cls)
-        obj._set_basis(ambient, hermite_form([tuple(map(int, v)) for v in vectors]))
-        return obj
-
-    def _set_basis(self, ambient, hermite_rows):
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in hermite_rows)
+        self.basis = tuple(tuple(r) for r in h)
         self.pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.basis)
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Sublattice":
-        return cls(ambient, [])
 
     @property
     def rank(self) -> int:
@@ -385,10 +350,6 @@ class Sublattice:
 
     def to_json(self):
         return {"ambient": self.ambient, "basis": [list(r) for r in self.basis]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["ambient"], data["basis"])
 
 
 def _summand_transform(rows):
@@ -859,8 +820,6 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
     # the frame must be a basis adapted to the splitting
     if split.frame.det() not in (1, -1):
         raise InternalError("splitting frame is not unimodular")
-    if not relation_R(split.b, split.c):
-        raise InternalError("splitting summands are not complementary")
     finv = split.frame.inverse_unimodular()
     blocked = finv @ f @ split.frame
     for i in range(2):

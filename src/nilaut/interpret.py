@@ -1,7 +1,6 @@
 """Executable interpretation demonstrations.
 
-Finite, exact constructions: the isomorphism between conjugations and the
-abelianization at class 2, the T+/T- classification of automorphisms
+Finite, exact constructions: the T+/T- classification of automorphisms
 against a stratified symmetry sample, the factorization of a conjugation
 by a generator as a product of two symmetries, a finite sampled multi
 sorted structure over Z^n (vectors, matrix automorphisms, direct summands
@@ -19,11 +18,8 @@ from operator import add, mul
 from .errors import DomainError, InputError, InternalError
 from .automorphisms import (
     Endomorphism,
-    _is_identity,
     canonical_symmetry,
-    compose,
     conjugate,
-    inner,
     invert_automorphism,
     is_automorphism,
 )
@@ -35,19 +31,9 @@ from .glz import (
     random_unimodular,
     relation_R,
 )
-from .nilgroup import (
-    GroupContext,
-    GroupElement,
-    abelianization,
-    from_exponents,
-    generator,
-    invert,
-    multiply,
-)
+from .nilgroup import GroupContext, generator, invert, multiply
 
 __all__ = [
-    "inn_to_abelian",
-    "abelian_to_inn",
     "TClassification",
     "t_plus_minus_classify",
     "factor_inner_as_symmetries",
@@ -62,38 +48,6 @@ __all__ = [
     "int_add",
     "int_mul",
 ]
-
-
-# ---------------------------------------------------------------------------
-# conjugations versus the abelianization (class 2)
-# ---------------------------------------------------------------------------
-
-
-def inn_to_abelian(f: Endomorphism, witness: GroupElement):
-    """Abelianized coordinates of a conjugation, given its conjugator.
-
-    Well defined at class 2, where the center is exactly the commutator
-    subgroup and dies in the abelianization.
-    """
-    ctx = f.context
-    if ctx.nilpotency_class != 2:
-        raise InputError("the conjugation isomorphism is a class-2 construction")
-    if witness.context != ctx:
-        raise InputError("witness context mismatch")
-    if inner(witness) != f:
-        raise InputError("witness does not conjugate to the given automorphism")
-    return abelianization(witness)
-
-
-def abelian_to_inn(ctx: GroupContext, vector) -> Endomorphism:
-    if ctx.nilpotency_class != 2:
-        raise InputError("the conjugation isomorphism is a class-2 construction")
-    vec = tuple(int(v) for v in vector)
-    if len(vec) != ctx.rank:
-        raise InputError("vector length must equal the rank")
-    exps = [0] * ctx.dim
-    exps[: ctx.rank] = vec
-    return inner(from_exponents(ctx, exps))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +72,7 @@ def t_plus_minus_classify(f: Endomorphism, symmetry_sample) -> TClassification:
     Per-stratum outcomes are recorded so exact symmetries and IA-perturbed
     members can be compared.
     """
-    ok, _ = is_automorphism(f)
-    if not ok:
+    if not is_automorphism(f):
         raise DomainError("classification is defined for automorphisms")
     sample = list(symmetry_sample)
     if not sample:
@@ -151,13 +104,13 @@ def factor_inner_as_symmetries(ctx: GroupContext, gen_index: int):
     theta_1 inverts the standard generators; theta_2 sends the chosen
     generator x to x^-1 and every other generator y to x^-1 y^-1 x, which
     inverts the basis {x} plus {y x : y != x}.  Their composite equals
-    conjugation by x exactly.
+    conjugation by x exactly; the `two-symmetry-factorization` check of the
+    `one-step-down` suite verifies this.
     """
     if not 1 <= gen_index <= ctx.rank:
         raise InputError("generator index %r out of range 1..%d" % (gen_index, ctx.rank))
     x = generator(ctx, gen_index)
     xinv = invert(x)
-    theta1 = canonical_symmetry(ctx)
     images = []
     for j in range(1, ctx.rank + 1):
         if j == gen_index:
@@ -165,12 +118,7 @@ def factor_inner_as_symmetries(ctx: GroupContext, gen_index: int):
         else:
             y = generator(ctx, j)
             images.append(multiply(multiply(xinv, invert(y)), x))
-    theta2 = Endomorphism(ctx, images)
-    if not _is_identity(compose(theta2, theta2)):
-        raise InternalError("the second symmetry does not square to the identity")
-    if compose(theta1, theta2) != inner(x):
-        raise InternalError("the two symmetries do not compose to the conjugation")
-    return theta1, theta2
+    return canonical_symmetry(ctx), Endomorphism(ctx, images)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A free nilpotent group of rank n and class s is coordinatized by the Hall
 basis of basic commutators of weight at most s.  Every element has a unique
 collected normal form b_1^{e_1} ... b_K^{e_K} with the b_i in basis order;
 its exponent vector (e_1, ..., e_K) of arbitrary-precision integers is the
-boundary format, used for input, text and JSON.
+boundary format, used for input and text.
 
 Conventions, fixed once and used by every module in this package:
 
@@ -49,7 +49,6 @@ __all__ = [
     "HallBasisElement",
     "GroupContext",
     "GroupElement",
-    "FreeWord",
     "identity",
     "generator",
     "basis_element",
@@ -64,9 +63,6 @@ __all__ = [
     "collect",
     "parse_element",
     "format_element",
-    "element_to_json",
-    "element_from_json",
-    "generator_word",
 ]
 
 
@@ -203,7 +199,6 @@ class GroupContext:
             minor = IntMatrix([[blk[p] for blk in blocks] for p in lyndon])
             polys = [[(p, v) for p, v in enumerate(blk) if v] for blk in blocks]
             self._solvers[w] = (lyndon, minor.inverse_unimodular().rows, polys)
-        self._gen_letter_words = [None] * self.dim
         self._light_start = self.dim
         for b in self.basis:
             if 2 * b.weight > s:
@@ -223,9 +218,6 @@ class GroupContext:
         if w not in self._weight_ranges:
             raise InputError("weight %r out of range 1..%d" % (w, self.nilpotency_class))
         return self._weight_ranges[w]
-
-    def basis_names(self):
-        return [b.name for b in self.basis]
 
     def _series_of_basis(self, b: HallBasisElement):
         if not isinstance(b.shape, tuple):
@@ -558,33 +550,16 @@ def project_to_class(g: GroupElement, m: int) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeWord:
-    """A word in the free generators: a sequence of (index, sign) letters.
-
-    Indices are 1-based; signs are +1 or -1.
-    """
-
-    letters: tuple
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((i, -s) for i, s in reversed(self.letters)))
-
-    def __add__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.letters + other.letters)
-
-
 def collect(ctx: GroupContext, word) -> GroupElement:
     """Collected normal form of a word in the free generators.
 
-    Accepts a FreeWord or any iterable of (generator index, sign) pairs with
-    1-based indices and signs in {+1, -1}.  Concatenation of words maps to
+    The word is any iterable of (generator index, sign) pairs with 1-based
+    indices and signs in {+1, -1}.  Concatenation of words maps to
     multiplication of the collected elements.
     """
-    pairs = word.letters if isinstance(word, FreeWord) else word
     ser = _unit_series(ctx)
     factors = {}
-    for i, s in pairs:
+    for i, s in word:
         f = factors.get((i, s))
         if f is None:
             if not 1 <= i <= ctx.rank:
@@ -596,38 +571,8 @@ def collect(ctx: GroupContext, word) -> GroupElement:
     return _from_series(ctx, ser)
 
 
-def _basis_letter_word(ctx, index):
-    # defining word of a basis element over 1-based generator letters
-    cached = ctx._gen_letter_words[index]
-    if cached is None:
-        b = ctx.basis[index]
-        if not isinstance(b.shape, tuple):
-            cached = ((b.shape + 1, 1),)
-        else:
-            wl = _basis_letter_word(ctx, b.shape[0])
-            wr = _basis_letter_word(ctx, b.shape[1])
-            inv_l = tuple((i, -s) for i, s in reversed(wl))
-            inv_r = tuple((i, -s) for i, s in reversed(wr))
-            cached = inv_l + inv_r + wl + wr
-        ctx._gen_letter_words[index] = cached
-    return cached
-
-
-def generator_word(g: GroupElement) -> FreeWord:
-    """A word in the free generators whose collected form is g."""
-    ctx = g.context
-    letters = []
-    for i, e in enumerate(g.exponents):
-        if e:
-            base = _basis_letter_word(ctx, i)
-            if e < 0:
-                base = tuple((j, -s) for j, s in reversed(base))
-            letters.extend(base * abs(e))
-    return FreeWord(tuple(letters))
-
-
 # ---------------------------------------------------------------------------
-# text grammar and serialization
+# text grammar
 # ---------------------------------------------------------------------------
 
 _GEN_RE = re.compile(r"x(\d+)")
@@ -695,10 +640,3 @@ def format_element(g: GroupElement) -> str:
             parts.append("%s^%d" % (b.name, e))
     return " ".join(parts) if parts else "1"
 
-
-def element_to_json(g: GroupElement) -> list:
-    return list(g.exponents)
-
-
-def element_from_json(ctx: GroupContext, data) -> GroupElement:
-    return from_exponents(ctx, data)

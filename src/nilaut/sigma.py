@@ -24,7 +24,6 @@ from .automorphisms import (
     abelianization_matrix,
     compose,
     conjugate,
-    endomorphism_to_json,
     invert_automorphism,
     is_automorphism,
     k_depth,
@@ -44,15 +43,12 @@ __all__ = [
     "SigmaTrace",
     "NecessityVerdict",
     "Witness",
-    "MembershipVerdict",
     "sigma_sequence",
     "matrix_sigma_sequence",
     "check_involution",
     "descent_verdict",
     "necessity_check",
     "find_nontrivial_witness",
-    "is_symmetry_mod_IA",
-    "trace_to_json",
 ]
 
 
@@ -79,13 +75,6 @@ class Witness:
     walk_parameters: list
 
 
-@dataclass
-class MembershipVerdict:
-    accepted: bool
-    witness: object = None
-    certificate: dict = None
-
-
 def check_involution(theta: Endomorphism) -> None:
     """Raise DomainError unless theta has order exactly two."""
     if _is_identity(theta):
@@ -103,8 +92,7 @@ def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
     for f in [sigma] + phis[:length]:
         if f.context != ctx:
             raise InputError("context mismatch in the recursion inputs")
-        ok, _ = is_automorphism(f)
-        if not ok:
+        if not is_automorphism(f):
             raise DomainError("recursion inputs must be automorphisms")
     terms = [sigma]
     cur = sigma
@@ -162,8 +150,7 @@ def necessity_check(theta: Endomorphism, sigma: Endomorphism, conjugators) -> Ne
         raise InputError("need %d conjugators, got %d" % (s, len(conjugators)))
     phis = []
     for c in conjugators[:s]:
-        ok, _ = is_automorphism(c)
-        if not ok:
+        if not is_automorphism(c):
             raise DomainError("conjugators must be automorphisms")
         phis.append(conjugate(c, theta))
     return descent_verdict(sigma, phis)
@@ -238,28 +225,3 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
         walk_parameters=[(r.m, r.parity, r.orientation, r.mode) for r in walk_recs],
     )
 
-
-def is_symmetry_mod_IA(theta: Endomorphism, m_range=(-5, 5)) -> MembershipVerdict:
-    """Decide exactly whether an involution is a symmetry times an IA factor.
-
-    Every symmetry abelianizes to minus the identity and IA automorphisms
-    to the identity, so theta is in the family exactly when its
-    abelianization is minus the identity.  The certificate records that
-    abelianization.  A rejection also carries the refutation instance of
-    `find_nontrivial_witness`, or None when its walk search over m_range
-    exhausts; the abelianization alone then certifies the rejection.
-    """
-    check_involution(theta)
-    amat = abelianization_matrix(theta)
-    minus_identity = amat == -IntMatrix.identity(theta.context.rank)
-    cert = {"abelianization": amat, "abelianization_is_minus_identity": minus_identity}
-    if minus_identity:
-        return MembershipVerdict(True, None, cert)
-    return MembershipVerdict(False, find_nontrivial_witness(theta, m_range), cert)
-
-
-def trace_to_json(trace: SigmaTrace) -> dict:
-    return {
-        "terms": [endomorphism_to_json(t) for t in trace.terms],
-        "depths": list(trace.depths),
-    }

@@ -10,7 +10,7 @@ from nilaut.automorphisms import (
     apply,
     canonical_symmetry,
     compose,
-    endomorphism_from_json,
+    conjugate,
     endomorphism_to_json,
     identity_endomorphism,
     in_K,
@@ -19,8 +19,6 @@ from nilaut.automorphisms import (
     is_automorphism,
     k_depth,
     lift_matrix,
-    reduce_class,
-    symmetry_from_automorphism,
 )
 from nilaut.errors import DomainError, InputError
 from nilaut.glz import IntMatrix, random_unimodular
@@ -33,7 +31,6 @@ from nilaut.nilgroup import (
     _zero_series,
     from_exponents,
     generator,
-    generator_word,
     identity,
     invert,
     multiply,
@@ -48,6 +45,7 @@ from nilaut.sampling import (
     random_k_member,
     symmetry_sample,
 )
+from test_nilgroup import generator_word
 
 CTX22 = GroupContext.get(2, 2)
 CTX23 = GroupContext.get(2, 3)
@@ -105,7 +103,7 @@ def test_apply_agrees_with_word_substitution():
             f = random_automorphism(ctx, rng)
             g = random_element(ctx, rng, bound=2)
             sub = identity(ctx)
-            for i, s in generator_word(g).letters:
+            for i, s in generator_word(g):
                 img = f.images[i - 1]
                 sub = multiply(sub, img if s == 1 else invert(img))
             assert sub == apply(f, g)
@@ -191,12 +189,9 @@ def test_is_automorphism():
     doubling = Endomorphism(
         CTX22, (from_exponents(CTX22, (2, 0, 0)), generator(CTX22, 2))
     )
-    ok, cert = is_automorphism(doubling)
-    assert not ok and cert is None
-    ok, cert = is_automorphism(canonical_symmetry(CTX22))
-    assert ok and cert.det == 1 and cert.abelianized == -IntMatrix.identity(2)
-    ok, cert = is_automorphism(gamma_example(CTX22))
-    assert ok and cert.det == 1
+    assert not is_automorphism(doubling)
+    assert is_automorphism(canonical_symmetry(CTX22))
+    assert is_automorphism(gamma_example(CTX22))
 
 
 def test_invert_automorphism():
@@ -384,8 +379,9 @@ def test_inner_examples():
 def test_symmetry_examples():
     theta = canonical_symmetry(CTX22)
     assert compose(theta, theta) == identity_endomorphism(CTX22)
+    # the symmetry inverting the basis {b(x_1), b(x_2)}
     b = Endomorphism(CTX22, (generator(CTX22, 1), parse_element(CTX22, "x2 x1")))
-    sym = symmetry_from_automorphism(b)
+    sym = conjugate(b, theta)
     basis2 = parse_element(CTX22, "x2 x1")
     assert apply(sym, basis2) == invert(basis2)
     assert apply(sym, b.images[0]) == invert(b.images[0])
@@ -394,10 +390,6 @@ def test_symmetry_examples():
     rng = random.Random(8)
     for label, t in symmetry_sample(CTX33, rng, conjugates=3, perturbed=2):
         assert abelianization_matrix(t) == -IntMatrix.identity(3)
-    with pytest.raises(DomainError):
-        symmetry_from_automorphism(
-            Endomorphism(CTX22, (from_exponents(CTX22, (2, 0, 0)), generator(CTX22, 2)))
-        )
 
 
 def test_lift_matrix_examples():
@@ -416,45 +408,6 @@ def test_lift_matrix_examples():
         for _ in range(50):
             mat = random_unimodular(rng, ctx.rank)
             assert abelianization_matrix(lift_matrix(ctx, mat)) == mat
-
-
-def test_reduce_class():
-    rng = random.Random(10)
-    ctx = CTX23
-    tgt = GroupContext.get(2, 2)
-    assert reduce_class(canonical_symmetry(ctx)) == canonical_symmetry(tgt)
-    assert reduce_class(identity_endomorphism(ctx)) == identity_endomorphism(tgt)
-    for _ in range(10):
-        f = random_k_member(ctx, rng, ctx.nilpotency_class - 1, nontrivial=True)
-        assert reduce_class(f) == identity_endomorphism(tgt)
-    for _ in range(10):
-        f = random_automorphism(ctx, rng)
-        g = random_automorphism(ctx, rng)
-        assert reduce_class(compose(f, g)) == compose(reduce_class(f), reduce_class(g))
-    # surjectivity witness: reduced lifts recover any reduced automorphism
-    for _ in range(10):
-        h = random_automorphism(tgt, rng)
-        lifted = compose(
-            lift_matrix(ctx, abelianization_matrix(h)),
-            _lift_ia_from_reduced(ctx, h),
-        )
-        assert reduce_class(lifted) == h
-    with pytest.raises(DomainError):
-        reduce_class(canonical_symmetry(GroupContext.get(2, 1)))
-
-
-def _lift_ia_from_reduced(ctx, h):
-    # h composed with the inverse of its abelianized lift is IA in the
-    # reduced context; re-read its image exponents inside ctx
-    tgt = h.context
-    base = lift_matrix(tgt, abelianization_matrix(h))
-    resid = compose(invert_automorphism(base), h)
-    images = []
-    for j in range(ctx.rank):
-        exps = [0] * ctx.dim
-        exps[: tgt.dim] = resid.images[j].exponents
-        images.append(from_exponents(ctx, exps))
-    return Endomorphism(ctx, images)
 
 
 def test_lemma_parity_on_filtration_layers():
@@ -519,6 +472,4 @@ def test_serialization_roundtrip():
     gamma = gamma_example(CTX22)
     data = endomorphism_to_json(gamma)
     assert data == {"x1": "x1 [x2,x1]", "x2": "x2"}
-    assert endomorphism_from_json(CTX22, data) == gamma
-    with pytest.raises(InputError):
-        endomorphism_from_json(CTX22, {"x1": "x1"})
+    assert Endomorphism(CTX22, [parse_element(CTX22, data[k]) for k in ("x1", "x2")]) == gamma

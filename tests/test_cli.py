@@ -1,5 +1,6 @@
 import ast
 import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -252,7 +253,7 @@ def test_elements_from_coordinates_are_built_only_in_nilgroup():
 
 def test_coordinates_leave_nilgroup_only_through_its_readers():
     # an element is its series; outside nilgroup its coordinates are read
-    # only through .exponents, format_element and element_to_json
+    # only through .exponents and format_element
     pkg = os.path.dirname(os.path.abspath(nilaut.__file__))
     found = []
     for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
@@ -264,4 +265,37 @@ def test_coordinates_leave_nilgroup_only_through_its_readers():
             names = {getattr(node, field, None) for field in ("attr", "id", "name")}
             if names & {"_exponents", "_magnus"}:
                 found.append("%s:%d" % (os.path.basename(path), node.lineno))
+    assert found == []
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    # a function or class that only tests call is surface the harness never
+    # runs; the package's exports and the functions the benchmark tracer
+    # wraps are the only entry points allowed no caller inside the package
+    pkg = os.path.dirname(os.path.abspath(nilaut.__file__))
+    tracer_path = os.path.join(os.path.dirname(os.path.dirname(pkg)), "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with open(os.path.join(pkg, "__init__.py")) as fh:
+        init = ast.parse(fh.read())
+    used = {name.rsplit(".", 1)[-1] for name in tracer.TRACED}
+    for node in ast.walk(init):
+        if isinstance(node, ast.ImportFrom):
+            used.update(a.asname or a.name for a in node.names)
+    defs = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, "%s:%d" % (os.path.basename(path), node.lineno)))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = [
+        where for name, where in defs
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    ]
     assert found == []

@@ -15,14 +15,12 @@ from nilaut.automorphisms import (
 from nilaut.errors import InputError
 from nilaut.glz import IntMatrix, Sublattice, relation_R
 from nilaut.interpret import (
-    abelian_to_inn,
     build_structure_M,
     decode_int,
     decode_summand_to_endomorphism,
     encode_endomorphism_as_summand,
     encode_int,
     factor_inner_as_symmetries,
-    inn_to_abelian,
     int_add,
     int_mul,
     semantic_graph_compose,
@@ -30,41 +28,15 @@ from nilaut.interpret import (
 )
 from nilaut.nilgroup import (
     GroupContext,
-    from_exponents,
     generator,
     invert,
     multiply,
     parse_element,
 )
-from nilaut.sampling import random_element, random_k_member, symmetry_sample
+from nilaut.sampling import random_k_member, symmetry_sample
 
 CTX22 = GroupContext.get(2, 2)
 CTX23 = GroupContext.get(2, 3)
-
-
-def test_inn_abelian_examples():
-    x1 = generator(CTX22, 1)
-    assert inn_to_abelian(inner(x1), x1) == (1, 0)
-    central = from_exponents(CTX22, (0, 0, 1))
-    assert inn_to_abelian(inner(central), central) == (0, 0)
-    assert abelian_to_inn(CTX22, (0, 0)) == identity_endomorphism(CTX22)
-    x2 = generator(CTX22, 2)
-    prod = multiply(x1, x2)
-    assert inn_to_abelian(compose(inner(x1), inner(x2)), prod) == (1, 1)
-    assert abelian_to_inn(CTX22, (1, 0)) == inner(x1)
-    with pytest.raises(InputError):
-        inn_to_abelian(inner(x1), x2)
-    with pytest.raises(InputError):
-        inn_to_abelian(inner(generator(CTX23, 1)), generator(CTX23, 1))
-
-
-def test_inn_abelian_roundtrip():
-    rng = random.Random(50)
-    for _ in range(20):
-        x = random_element(CTX22, rng)
-        f = inner(x)
-        vec = inn_to_abelian(f, x)
-        assert abelian_to_inn(CTX22, vec) == f
 
 
 def test_t_classification_examples():

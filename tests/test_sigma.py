@@ -14,17 +14,16 @@ from nilaut.automorphisms import (
 )
 from nilaut.errors import DomainError, InputError
 from nilaut.glz import IntMatrix
+from nilaut.harness import _jsonify
 from nilaut.nilgroup import GroupContext, generator
-from nilaut.sampling import ia_perturbed_symmetry, random_automorphism, symmetry_sample
+from nilaut.sampling import random_automorphism, symmetry_sample
 from nilaut.sigma import (
     check_involution,
     descent_verdict,
     find_nontrivial_witness,
-    is_symmetry_mod_IA,
     matrix_sigma_sequence,
     necessity_check,
     sigma_sequence,
-    trace_to_json,
 )
 
 CTX22 = GroupContext.get(2, 2)
@@ -230,21 +229,6 @@ def test_no_witness_for_symmetries():
         assert find_nontrivial_witness(theta) is None, label
 
 
-def test_membership_verdicts():
-    rng = random.Random(24)
-    verdict = is_symmetry_mod_IA(canonical_symmetry(CTX22))
-    assert verdict.accepted
-    assert verdict.certificate["abelianization_is_minus_identity"]
-    verdict = is_symmetry_mod_IA(lift_matrix(CTX22, DIAG))
-    assert not verdict.accepted
-    assert verdict.witness is not None
-    verdict = is_symmetry_mod_IA(ia_perturbed_symmetry(CTX23, rng))
-    assert verdict.accepted
-    assert verdict.certificate["abelianization_is_minus_identity"]
-    with pytest.raises(DomainError):
-        is_symmetry_mod_IA(identity_endomorphism(CTX22))
-
-
 def test_abelianization_commutes_with_recursion():
     rng = random.Random(25)
     ctx = CTX23
@@ -266,9 +250,11 @@ def test_abelianization_commutes_with_recursion():
             assert abelianization_matrix(term) == mat
 
 
+
 def test_trace_serialization():
+    # reports write a trace as its terms' generator images and its depths
     theta = canonical_symmetry(CTX22)
     trace = sigma_sequence(identity_endomorphism(CTX22), [theta, theta], 2)
-    data = trace_to_json(trace)
+    data = _jsonify(trace)
     assert data["depths"] == [3, 3, 3]
     assert data["terms"][0] == {"x1": "x1", "x2": "x2"}
