@@ -12,7 +12,7 @@ group element x is g -> x g x^-1.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError, InputError, InternalError
 from .glz import IntMatrix
@@ -56,19 +56,21 @@ class Endomorphism:
     needs the image of every monomial.  Series are laid out flat, degree by
     degree (`GroupContext._deg_offsets`), and `_mon_images` maps the flat
     position of a monomial to the nonzero entries of its image, as
-    (flat position, value) pairs in position order.  Only monomials of
-    degree below the class s are stored.  Valuations add, so the image of a
-    degree-s monomial w x_j is the degree-(s-1) part of the image of w
-    times the degree-1 block of f(x_j), and `apply` forms that product as
-    it goes: the top degree holds most monomials, and most maps are applied
-    to a few elements only, so storing it would cost memory and save no
-    work.  When f lies in K_d, every monomial of degree above s - d maps to
-    itself, and its image is a single pair.  `invert_automorphism` scatters
-    through the same images; `_cols` holds the nonzero (index, value) pairs
-    of the abelianized images f(x_j), once `apply` first needs them.
+    (flat position, value) pairs in position order.  Valuations add, so the
+    image of a degree-s monomial w x_j is the degree-(s-1) part of the
+    image of w times the degree-1 block of f(x_j), and `apply` forms that
+    product as it goes: the top degree holds most monomials, and most maps
+    are applied to a few elements only, so storing it would cost memory and
+    save no work.  `_depth` caches `k_depth(f)`, read off the series of the
+    images of f on first need.  When f lies in K_d, every monomial of
+    degree above s - d maps to itself, so no image is stored for it: those
+    blocks, and for d >= 1 the top degree, are added as they are.
+    `invert_automorphism` scatters through the same images; `_cols` holds
+    the nonzero (index, value) pairs of the abelianized images f(x_j), once
+    `apply` first needs them at depth 0.
     """
 
-    __slots__ = ("context", "images", "_mon_images", "_cols", "_inverse")
+    __slots__ = ("context", "images", "_mon_images", "_cols", "_depth", "_inverse")
 
     def __init__(self, context: GroupContext, images):
         images = tuple(images)
@@ -84,6 +86,7 @@ class Endomorphism:
         # the empty monomial maps to 1, the root of every image below
         self._mon_images = {0: _UNIT_IMAGE}
         self._cols = None
+        self._depth = None
         self._inverse = None
 
     def _monomial_image(self, pos):
@@ -121,8 +124,15 @@ class Endomorphism:
         self._mon_images[pos] = hit
         return hit
 
-    def _scatter(self, out, lo, blk):
-        # out += blk[i] times the image of the monomial at lo + i, below degree s
+    def _scatter(self, out, k, blk):
+        # out += blk[i] times the image of the i-th monomial of degree k; in
+        # K_d one of degree above s - d is its own image
+        ctx = self.context
+        lo = ctx._deg_offsets[k]
+        if k > ctx.nilpotency_class - _filtration_depth(self):
+            hi = lo + len(blk)
+            out[lo:hi] = map(add, out[lo:hi], blk)
+            return
         for idx, c in enumerate(blk):
             if c:
                 img = self._mon_images.get(lo + idx)
@@ -161,10 +171,12 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
     Computed by pushing the series of g through the substitution
     homomorphism, which agrees with word substitution plus collection and
     does not depend on the representing word.  Each monomial of degree
-    below s scatters its cached image pairs into one flat series.  The
-    degree-s monomials w x_1 .. w x_n of one w share the degree-(s-1) part
-    of the image of w, which is multiplied once by the sum of their
-    coefficients times the abelianized columns of f(x_1) .. f(x_n).
+    below s scatters its cached image pairs into one flat series, except
+    that for f in K_d the blocks of degree above s - d are added as they
+    are.  For d >= 1 so is the top degree.  At depth 0 the degree-s
+    monomials w x_1 .. w x_n of one w share the degree-(s-1) part of the
+    image of w, which is multiplied once by the sum of their coefficients
+    times the abelianized columns of f(x_1) .. f(x_n).
     """
     ctx = f.context
     if g.context != ctx:
@@ -176,32 +188,36 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
     out = [0] * offsets[-1]
     out[0] = 1
     for deg in range(1, s):
-        f._scatter(out, offsets[deg], src[deg])
-    if f._cols is None:
-        f._cols = [[(i, v) for i, v in enumerate(abelianization(img)) if v] for img in f.images]
-    cols = f._cols
-    top_lo = offsets[s]
-    key = offsets[s - 1]
-    # the coefficients of w x_1 .. w x_n, for each w of degree s - 1 in turn
-    for row in zip(*[iter(src[s])] * rank):
-        if any(row):
-            col = [0] * rank
-            for c, terms in zip(row, cols):
-                if c:
-                    for i, v in terms:
-                        col[i] += c * v
-            terms = [(i + 1, v) for i, v in enumerate(col) if v]
-            if terms:
-                img = f._mon_images.get(key)
-                if img is None:
-                    img = f._monomial_image(key)
-                for p, a in img:
-                    if p >= top_lo:
-                        break
-                    base = p * rank
-                    for q, v in terms:
-                        out[base + q] += a * v
-        key += 1
+        f._scatter(out, deg, src[deg])
+    if _filtration_depth(f):
+        # in K_1 the abelianized columns are the identity
+        f._scatter(out, s, src[s])
+    else:
+        if f._cols is None:
+            f._cols = [[(i, v) for i, v in enumerate(abelianization(img)) if v] for img in f.images]
+        cols = f._cols
+        top_lo = offsets[s]
+        key = offsets[s - 1]
+        # the coefficients of w x_1 .. w x_n, for each w of degree s - 1 in turn
+        for row in zip(*[iter(src[s])] * rank):
+            if any(row):
+                col = [0] * rank
+                for c, terms in zip(row, cols):
+                    if c:
+                        for i, v in terms:
+                            col[i] += c * v
+                terms = [(i + 1, v) for i, v in enumerate(col) if v]
+                if terms:
+                    img = f._mon_images.get(key)
+                    if img is None:
+                        img = f._monomial_image(key)
+                    for p, a in img:
+                        if p >= top_lo:
+                            break
+                        base = p * rank
+                        for q, v in terms:
+                            out[base + q] += a * v
+            key += 1
     return _from_series(ctx, [out[offsets[d] : offsets[d + 1]] for d in range(s + 1)])
 
 
@@ -244,24 +260,32 @@ def _defect_weight(f: Endomorphism, j: int) -> int:
     return s + 1
 
 
+def _filtration_depth(f: Endomorphism) -> int:
+    # k_depth(f), read off the series of f's own images on first need
+    depth = f._depth
+    if depth is None:
+        s = f.context.nilpotency_class
+        depth = s + 1
+        for j in range(f.context.rank):
+            depth = min(depth, _defect_weight(f, j) - 1)
+            if depth == 0:
+                break
+        # depth == s would force every defect to be trivial, i.e. the identity
+        if depth == s:
+            depth = s + 1
+        f._depth = depth
+    return depth
+
+
 def _is_identity(f: Endomorphism) -> bool:
     # every defect weight is the sentinel s + 1
-    s = f.context.nilpotency_class
-    return all(_defect_weight(f, j) > s for j in range(f.context.rank))
+    return _filtration_depth(f) > f.context.nilpotency_class
 
 
 def k_depth(f: Endomorphism) -> int:
     """Largest m with f in K_m; 0 when f moves the abelianization, and the
     sentinel s + 1 for the identity automorphism."""
-    ctx = f.context
-    s = ctx.nilpotency_class
-    depth = s + 1
-    for j in range(ctx.rank):
-        depth = min(depth, _defect_weight(f, j) - 1)
-        if depth == 0:
-            return 0
-    # depth == s would force every defect to be trivial, i.e. the identity
-    return depth if depth < s else s + 1
+    return _filtration_depth(f)
 
 
 def in_K(f: Endomorphism, m: int) -> bool:
@@ -274,7 +298,7 @@ def in_K(f: Endomorphism, m: int) -> bool:
         raise InputError("filtration index %r out of range 1..%d" % (m, ctx.nilpotency_class))
     if not is_automorphism(f):
         raise DomainError("filtration membership is defined for automorphisms")
-    return all(_defect_weight(f, j) >= m + 1 for j in range(ctx.rank))
+    return _filtration_depth(f) >= m
 
 
 def _tensor_power(rows, vec, k):
@@ -293,7 +317,9 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     degree-k diagonal block A^(x)k for A the abelianized matrix.  So the
     degree-k block of f^-1(x_j) = F^-1(1 + X_j) is (A^-1)^(x)k, one tensor
     factor at a time, on that of 1 + X_j minus F of the blocks below, which
-    scatter through the monomial images of f below degree s.
+    scatter through the monomial images of f below degree s.  For f in
+    K_d with d >= 1, A is the identity, so the solve applies no tensor
+    power, and the blocks of degree above s - d are added as they are.
 
     The result h is checked by h o f == id alone.  That check applies h's
     own monomial images, not the scatter of f that built h.  f is bijective
@@ -312,7 +338,8 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     ctx = f.context
     s = ctx.nilpotency_class
     offsets = ctx._deg_offsets
-    binv = abelianization_matrix(f).inverse_unimodular().rows
+    # in K_1, A^-1 is the identity
+    binv = None if _filtration_depth(f) else abelianization_matrix(f).inverse_unimodular().rows
     images = []
     for j in range(ctx.rank):
         # F of the blocks solved so far minus 1 + X_j, laid out flat
@@ -320,9 +347,10 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
         acc[offsets[1] + j] = -1
         ser = [[1]]
         for k in range(1, s + 1):
-            ser.append(_tensor_power(binv, [-v for v in acc[offsets[k] : offsets[k + 1]]], k))
+            blk = [-v for v in acc[offsets[k] : offsets[k + 1]]]
+            ser.append(blk if binv is None else _tensor_power(binv, blk, k))
             if k < s:
-                f._scatter(acc, offsets[k], ser[k])
+                f._scatter(acc, k, ser[k])
         images.append(_from_series(ctx, ser))
     h = Endomorphism(ctx, images)
     if not _is_identity(compose(h, f)):

@@ -818,9 +818,10 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         IntMatrix(b_rows + c_rows).transpose(),
     )
     # the frame must be a basis adapted to the splitting
-    if split.frame.det() not in (1, -1):
-        raise InternalError("splitting frame is not unimodular")
-    finv = split.frame.inverse_unimodular()
+    try:
+        finv = split.frame.inverse_unimodular()
+    except DomainError as exc:
+        raise InternalError("splitting frame is not unimodular") from exc
     blocked = finv @ f @ split.frame
     for i in range(2):
         for j in range(2, n):

@@ -6,6 +6,7 @@ from nilaut.automorphisms import (
     Endomorphism,
     _defect_weight,
     _is_identity,
+    _tensor_power,
     abelianization_matrix,
     apply,
     canonical_symmetry,
@@ -151,12 +152,9 @@ def test_apply_matches_dense_substitution(rank, nil_class):
             for g in (eager, lazy):
                 ref = _dense_apply(f, g)
                 assert apply(f, g)._series == ref
-        # the top degree is never stored, and in K_d every monomial of
-        # degree above s - d maps to itself
-        assert all(_degree_of(ctx, pos) < s for pos in f._mon_images)
-        for pos, pairs in f._mon_images.items():
-            if _degree_of(ctx, pos) > s - depth:
-                assert list(pairs) == [(pos, 1)]
+        # the top degree is never stored, and in K_d no monomial of degree
+        # above s - d is stored either: each maps to itself
+        assert all(_degree_of(ctx, pos) <= min(s - 1, s - depth) for pos in f._mon_images)
 
 
 def test_compose_examples():
@@ -239,6 +237,68 @@ def test_inverse_solve_matches_refinement(rank, nil_class):
         # the solve stores no monomial image of degree s
         top = ctx._deg_offsets[s]
         assert all(pos < top for pos in fresh._mon_images)
+
+
+def _tensor_power_solve(f):
+    # the solve invert_automorphism ran before it read the filtration depth:
+    # every degree goes through (A^-1)^(x)k, and F of the lower blocks goes
+    # through monomial images of every degree below s, on a fresh cache
+    ctx = f.context
+    s = ctx.nilpotency_class
+    offsets = ctx._deg_offsets
+    ref = Endomorphism(ctx, f.images)
+
+    def scatter(out, lo, blk):
+        for idx, c in enumerate(blk):
+            if c:
+                img = ref._mon_images.get(lo + idx)
+                if img is None:
+                    img = ref._monomial_image(lo + idx)
+                for p, v in img:
+                    out[p] += c * v
+
+    binv = abelianization_matrix(f).inverse_unimodular().rows
+    images = []
+    for j in range(ctx.rank):
+        acc = [0] * offsets[-1]
+        acc[offsets[1] + j] = -1
+        ser = [[1]]
+        for k in range(1, s + 1):
+            ser.append(_tensor_power(binv, [-v for v in acc[offsets[k] : offsets[k + 1]]], k))
+            if k < s:
+                scatter(acc, offsets[k], ser[k])
+        images.append(ser)
+    return images
+
+
+def _scanned_depth(f):
+    # k_depth by a fresh defect scan, on a copy with an empty depth cache
+    s = f.context.nilpotency_class
+    fresh = Endomorphism(f.context, f.images)
+    depth = min(_defect_weight(fresh, j) for j in range(f.context.rank)) - 1
+    return s + 1 if depth == s else depth
+
+
+@pytest.mark.parametrize("rank,nil_class", [(2, 1), (2, 2), (3, 3), (2, 5), (4, 4), (3, 5)])
+def test_inverse_matches_the_tensor_power_solve(rank, nil_class):
+    # at depth d >= 1 the solve skips A^-1 and adds the blocks of degree
+    # above s - d as they are; compare with the full solve, and check both
+    # inverse laws by dense substitution
+    ctx = GroupContext.get(rank, nil_class)
+    s = nil_class
+    rng = random.Random(1000 * rank + nil_class)
+    maps = [random_automorphism(ctx, rng), canonical_symmetry(ctx), identity_endomorphism(ctx)]
+    maps += [random_k_member(ctx, rng, d, nontrivial=d < s) for d in range(1, s + 1)]
+    gens = [generator(ctx, j + 1)._series for j in range(rank)]
+    for f in maps:
+        h = invert_automorphism(f)
+        assert [img._series for img in h.images] == _tensor_power_solve(f)
+        assert [_dense_apply(h, img) for img in f.images] == gens
+        assert [_dense_apply(f, img) for img in h.images] == gens
+        for r in (h, compose(f, h), compose(h, f), conjugate(f, maps[0])):
+            assert r._depth is None or r._depth == _scanned_depth(r)
+            assert k_depth(r) == _scanned_depth(r)
+    assert {k_depth(f) for f in maps} == set(range(s)) | {s + 1}
 
 
 def test_in_K_examples():

@@ -145,19 +145,24 @@ def test_falsifier_miss_is_a_search_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite,rank,trials,seed",
-    # interp-M runs the batched structure relations and the falsifier's checks
-    [("proposition-sigma", 2, 3, 7), ("interp-M", 3, 60, 11)],
-    ids=["proposition-sigma", "interp-M"],
+    "suite,rank,nil_class,trials,seed",
+    # interp-M runs the batched structure relations and the falsifier's
+    # checks; lemma-2.2 at class 3 inverts members of every proper K_m
+    [
+        ("proposition-sigma", 2, 2, 3, 7),
+        ("interp-M", 3, 2, 60, 11),
+        ("lemma-2.2", 3, 3, 10, 5),
+    ],
+    ids=["proposition-sigma", "interp-M", "lemma-2.2"],
 )
-def test_optimized_interpreter_gives_the_same_report(tmp_path, suite, rank, trials, seed):
+def test_optimized_interpreter_gives_the_same_report(tmp_path, suite, rank, nil_class, trials, seed):
     # internal invariants raise InternalError explicitly, so `python -O`,
     # which strips bare asserts, runs the same checks and writes the same bytes
     src = os.path.dirname(os.path.dirname(os.path.abspath(nilaut.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     args = ["-m", "nilaut", "verify", "--suite", suite, "--rank", str(rank),
-            "--class", "2", "--trials", str(trials), "--seed", str(seed), "--report"]
+            "--class", str(nil_class), "--trials", str(trials), "--seed", str(seed), "--report"]
     texts = []
     for flags, name in (([], "plain.json"), (["-O"], "optimized.json")):
         path = tmp_path / name

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from nilaut import glz
-from nilaut.errors import DomainError, InputError
+from nilaut.errors import DomainError, InputError, InternalError
 from nilaut.glz import (
     WALK_CERT_MODULUS,
     noncentral_walk_certificate,
@@ -801,6 +801,20 @@ def test_invariant_splitting_examples():
     assert split.b == Sublattice(3, [(1, 0, 0), (0, 1, 0)])
     assert split.c == Sublattice(3, [(0, 1, -1)])
     _check_splitting(f, split)
+
+
+def test_invariant_splitting_refuses_a_frame_that_is_not_a_basis(monkeypatch):
+    # a fixed vector doubled still spans B (+) C rationally, but the frame it
+    # gives has det 2; its inverse is refused as an internal error
+    real = glz.involution_eigenlattices
+
+    def doubled(mat):
+        fix, neg, splits = real(mat)
+        return [tuple(2 * v for v in fix[0])] + fix[1:], neg, splits
+
+    monkeypatch.setattr(glz, "involution_eigenlattices", doubled)
+    with pytest.raises(InternalError, match="splitting frame is not unimodular"):
+        invariant_splitting(M((1, 0, 0), (0, 1, 0), (0, 0, -1)))
 
 
 def test_invariant_splitting_random_conjugates():
