@@ -38,6 +38,7 @@ __all__ = [
     "is_automorphism",
     "invert_automorphism",
     "in_K",
+    "agree_modulo_K",
     "k_depth",
     "inner",
     "canonical_symmetry",
@@ -296,9 +297,28 @@ def in_K(f: Endomorphism, m: int) -> bool:
     ctx = f.context
     if not 1 <= m <= ctx.nilpotency_class:
         raise InputError("filtration index %r out of range 1..%d" % (m, ctx.nilpotency_class))
-    if not is_automorphism(f):
+    # depth >= 1 already shows the abelianization is the identity
+    depth = _filtration_depth(f)
+    if not depth and not is_automorphism(f):
         raise DomainError("filtration membership is defined for automorphisms")
-    return _filtration_depth(f) >= m
+    return depth >= m
+
+
+def agree_modulo_K(f: Endomorphism, g: Endomorphism, m: int) -> bool:
+    """Whether g^-1 f lies in K_m, for automorphisms f and g; no inverse is
+    formed.
+
+    g^-1 f is in K_m iff f(x_j) and g(x_j) agree modulo N_{m+1} for every
+    j (apply g; N_{m+1} is characteristic), and since valuations add, iff
+    the series of f(x_j) and g(x_j) agree in every degree up to m.  For
+    m > s that is every degree, so agree_modulo_K(f, g, s + 1) is f == g.
+    """
+    if f.context != g.context:
+        raise InputError("context mismatch in filtration agreement")
+    if m < 1:
+        raise InputError("filtration index %r out of range" % (m,))
+    top = min(m, f.context.nilpotency_class) + 1
+    return all(a._series[:top] == b._series[:top] for a, b in zip(f.images, g.images))
 
 
 def _tensor_power(rows, vec, k):
@@ -328,18 +348,23 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     and f o h == id follows.
 
     This is the only writer of the inverse cache: the result is cached on
-    f and f is cached on the result, so inverting either one again is a
-    lookup.
+    f, so inverting f again is a lookup.  f is not cached on the result:
+    that back-pointer would make every inverted pair a reference cycle,
+    freed only by the cyclic collector.
     """
     if f._inverse is not None:
         return f._inverse
-    if not is_automorphism(f):
-        raise DomainError("endomorphism is not an automorphism")
     ctx = f.context
     s = ctx.nilpotency_class
     offsets = ctx._deg_offsets
-    # in K_1, A^-1 is the identity
-    binv = None if _filtration_depth(f) else abelianization_matrix(f).inverse_unimodular().rows
+    # in K_1, A^-1 is the identity; at depth 0 the solve for A^-1 is the
+    # unimodularity test
+    binv = None
+    if not _filtration_depth(f):
+        try:
+            binv = abelianization_matrix(f).inverse_unimodular().rows
+        except DomainError as exc:
+            raise DomainError("endomorphism is not an automorphism") from exc
     images = []
     for j in range(ctx.rank):
         # F of the blocks solved so far minus 1 + X_j, laid out flat
@@ -356,7 +381,6 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     if not _is_identity(compose(h, f)):
         raise InternalError("the computed inverse is not a left inverse")
     f._inverse = h
-    h._inverse = f
     return h
 
 

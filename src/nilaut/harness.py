@@ -44,6 +44,7 @@ from .automorphisms import (
     Endomorphism,
     _is_identity,
     abelianization_matrix,
+    agree_modulo_K,
     apply,
     canonical_symmetry,
     compose,
@@ -51,7 +52,6 @@ from .automorphisms import (
     endomorphism_to_json,
     in_K,
     inner,
-    invert_automorphism,
     lift_matrix,
 )
 from .sampling import (
@@ -361,10 +361,13 @@ def _suite_lemma_22(cfg, rec):
         def kernel(rng, t):
             theta = thetas[rng.randrange(len(thetas))]
             gamma = random_k_member(ctx, rng, m)
-            conj = conjugate(theta, gamma)
-            tail = gamma if m % 2 == 1 else invert_automorphism(gamma)
-            resid = compose(conj, tail)
-            ok = in_K(resid, m + 1) if m + 1 <= s else _is_identity(resid)
+            if m % 2 == 0:
+                # theta gamma theta^-1 gamma^-1 lies in K_{m+1}, a normal
+                # subgroup, iff (gamma theta)^-1 (theta gamma) does
+                ok = agree_modulo_K(compose(theta, gamma), compose(gamma, theta), m + 1)
+            else:
+                resid = compose(conjugate(theta, gamma), gamma)
+                ok = in_K(resid, m + 1) if m + 1 <= s else _is_identity(resid)
             if not ok:
                 return {"trial": t, "theta": theta, "gamma": gamma}
 
@@ -384,11 +387,9 @@ def _suite_lemma_21(cfg, rec):
         def commutes(rng, t):
             gamma = random_ia(ctx, rng)
             delta = random_k_member(ctx, rng, m)
-            comm = compose(
-                compose(invert_automorphism(gamma), invert_automorphism(delta)),
-                compose(gamma, delta),
-            )
-            if not in_K(comm, m + 1):
+            # the commutator gamma^-1 delta^-1 gamma delta is
+            # (delta gamma)^-1 (gamma delta)
+            if not agree_modulo_K(compose(gamma, delta), compose(delta, gamma), m + 1):
                 return {"trial": t, "gamma": gamma, "delta": delta}
 
         _check(
@@ -697,7 +698,7 @@ def _suite_one_step_down(cfg, rec):
         _, t1 = sample[rng.randrange(len(sample))]
         _, t2 = sample[rng.randrange(len(sample))]
         prod = compose(t1, t2)
-        if conjugate(prod, f) != f:
+        if compose(prod, f) != compose(f, prod):
             return {"trial": t, "f": f}
 
     _check(

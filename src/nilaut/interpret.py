@@ -18,9 +18,9 @@ from operator import add, mul
 from .errors import DomainError, InputError, InternalError
 from .automorphisms import (
     Endomorphism,
+    _is_identity,
     canonical_symmetry,
-    conjugate,
-    invert_automorphism,
+    compose,
     is_automorphism,
 )
 from .glz import (
@@ -71,18 +71,27 @@ def t_plus_minus_classify(f: Endomorphism, symmetry_sample) -> TClassification:
     and is an exact verdict, while t_plus and t_minus are sampled ones.
     Per-stratum outcomes are recorded so exact symmetries and IA-perturbed
     members can be compared.
+
+    No inverse is formed: theta f theta^-1 = f iff theta f = f theta, and
+    theta f theta^-1 = f^-1 iff f theta f = theta.  When the first holds,
+    the second holds iff f o f is the identity, tested once per call.
     """
     if not is_automorphism(f):
         raise DomainError("classification is defined for automorphisms")
     sample = list(symmetry_sample)
     if not sample:
         raise InputError("symmetry sample must be nonempty")
-    finv = invert_automorphism(f)
+    involution = None
     stratum = {}
     for label, theta in sample:
-        conj = conjugate(theta, f)
-        plus = conj == f
-        minus = conj == finv
+        lhs = compose(theta, f)
+        plus = lhs == compose(f, theta)
+        if plus:
+            if involution is None:
+                involution = _is_identity(compose(f, f))
+            minus = involution
+        else:
+            minus = compose(f, lhs) == theta
         prev = stratum.setdefault(label, {"plus": True, "minus": True})
         prev["plus"] = prev["plus"] and plus
         prev["minus"] = prev["minus"] and minus

@@ -24,6 +24,7 @@ from .automorphisms import (
     abelianization_matrix,
     compose,
     conjugate,
+    identity_endomorphism,
     invert_automorphism,
     is_automorphism,
     k_depth,
@@ -83,8 +84,7 @@ def check_involution(theta: Endomorphism) -> None:
         raise DomainError("automorphism does not square to the identity")
 
 
-def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
-    """The first `length` steps of the alternating recursion, with depths."""
+def _recursion_inputs(sigma: Endomorphism, phis, length: int) -> list:
     phis = list(phis)
     if len(phis) < length:
         raise InputError("need %d conjugating automorphisms, got %d" % (length, len(phis)))
@@ -94,15 +94,23 @@ def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
             raise InputError("context mismatch in the recursion inputs")
         if not is_automorphism(f):
             raise DomainError("recursion inputs must be automorphisms")
+    return phis
+
+
+def _step(phi: Endomorphism, cur: Endomorphism, m: int) -> Endomorphism:
+    # term m + 1 from term m; right-associated, so the maps applied are phi
+    # and cur, whose monomial images stay cached across calls, not fresh
+    # composites
+    tail = invert_automorphism(cur) if m % 2 == 0 else cur
+    return compose(phi, compose(cur, compose(phi, tail)))
+
+
+def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
+    """The first `length` steps of the alternating recursion, with depths."""
+    phis = _recursion_inputs(sigma, phis, length)
     terms = [sigma]
-    cur = sigma
     for m in range(length):
-        phi = phis[m]
-        tail = invert_automorphism(cur) if m % 2 == 0 else cur
-        # right-associated, so the maps applied are phi and cur, whose
-        # monomial images stay cached across calls, not fresh composites
-        cur = compose(phi, compose(cur, compose(phi, tail)))
-        terms.append(cur)
+        terms.append(_step(phis[m], terms[-1], m))
     return SigmaTrace(terms, [k_depth(t) for t in terms])
 
 
@@ -125,10 +133,28 @@ def descent_verdict(sigma: Endomorphism, phis) -> NecessityVerdict:
     """Run the recursion on sigma against the phis and check the descent.
 
     The verdict passes when term m lies in K_m for every m up to the class
-    s and term s is the identity; the violations list the failing m.
+    s and term s is the identity; the violations list the failing m.  The
+    terms are those of `sigma_sequence`, but when the last step inverts
+    (s odd), term s = phi cur phi cur^-1 is first tested as phi cur phi ==
+    cur, and is the identity, with no inverse formed, when that holds.
     """
-    s = sigma.context.nilpotency_class
-    trace = sigma_sequence(sigma, phis, s)
+    ctx = sigma.context
+    s = ctx.nilpotency_class
+    phis = _recursion_inputs(sigma, phis, s)
+    terms = [sigma]
+    for m in range(s - 1):
+        terms.append(_step(phis[m], terms[-1], m))
+    phi, cur = phis[s - 1], terms[-1]
+    if (s - 1) % 2 == 0:
+        # phi cur phi cur^-1 is the identity iff phi cur phi == cur
+        head = compose(phi, compose(cur, phi))
+        if head == cur:
+            terms.append(identity_endomorphism(ctx))
+        else:
+            terms.append(compose(head, invert_automorphism(cur)))
+    else:
+        terms.append(_step(phi, cur, s - 1))
+    trace = SigmaTrace(terms, [k_depth(t) for t in terms])
     violations = [m for m in range(1, s + 1) if trace.depths[m] < m]
     if not _is_identity(trace.terms[s]) and s not in violations:
         violations.append(s)

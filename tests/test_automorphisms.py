@@ -8,6 +8,7 @@ from nilaut.automorphisms import (
     _is_identity,
     _tensor_power,
     abelianization_matrix,
+    agree_modulo_K,
     apply,
     canonical_symmetry,
     compose,
@@ -215,6 +216,31 @@ def test_invert_automorphism():
         )
 
 
+def test_filtration_depth_stands_in_for_the_determinant(monkeypatch):
+    # a map of depth >= 1 has the identity as abelianization, so in_K and
+    # invert_automorphism take no determinant of it; at depth 0 the
+    # refusals of a non-automorphism are unchanged
+    from nilaut import automorphisms
+
+    doubling = Endomorphism(CTX22, (from_exponents(CTX22, (2, 0, 0)), generator(CTX22, 2)))
+    with pytest.raises(DomainError, match="^endomorphism is not an automorphism$"):
+        invert_automorphism(doubling)
+    with pytest.raises(DomainError, match="^filtration membership is defined for automorphisms$"):
+        in_K(doubling, 1)
+
+    def refuse(*args):
+        raise AssertionError("determinant taken")
+
+    monkeypatch.setattr(automorphisms, "is_automorphism", refuse)
+    monkeypatch.setattr(IntMatrix, "det", refuse)
+    monkeypatch.setattr(IntMatrix, "inverse_unimodular", refuse)
+    rng = random.Random(14)
+    for m in (1, 2):
+        f = random_k_member(CTX33, rng, m, nontrivial=True)
+        assert in_K(f, m) and not in_K(f, 3)
+        assert in_K(invert_automorphism(f), m)
+
+
 @pytest.mark.parametrize(
     "rank,nil_class", [(2, 1), (2, 2), (2, 3), (3, 3), (2, 5), (4, 4), (3, 5), (2, 6)]
 )
@@ -299,6 +325,63 @@ def test_inverse_matches_the_tensor_power_solve(rank, nil_class):
             assert r._depth is None or r._depth == _scanned_depth(r)
             assert k_depth(r) == _scanned_depth(r)
     assert {k_depth(f) for f in maps} == set(range(s)) | {s + 1}
+
+
+def _first_difference(f, g):
+    # lowest degree where the series of some f(x_j) and g(x_j) differ
+    degrees = [
+        d
+        for a, b in zip(f.images, g.images)
+        for d, (u, v) in enumerate(zip(a._series, b._series))
+        if u != v
+    ]
+    return min(degrees, default=None)
+
+
+def _assert_agreement_is_membership(f, g, first):
+    # the reference forms g^-1 f and reads its depth; g^-1 f is in K_m
+    # exactly for m below the first degree where the images differ
+    s = f.context.nilpotency_class
+    quotient = compose(invert_automorphism(g), f)
+    for m in range(1, s + 2):
+        expected = in_K(quotient, m) if m <= s else _is_identity(quotient)
+        assert agree_modulo_K(f, g, m) == expected
+        assert expected == (first is None or m < first)
+
+
+@pytest.mark.parametrize("rank,nil_class", [(2, 2), (3, 3), (4, 4), (3, 5)])
+def test_agree_modulo_K_matches_membership_of_the_quotient(rank, nil_class):
+    # g o k, with k of depth exactly d - 1, differs from g first in degree d
+    ctx = GroupContext.get(rank, nil_class)
+    s = nil_class
+    rng = random.Random(300 * rank + nil_class)
+    shear = [[int(i == j or (i, j) == (0, 1)) for j in range(rank)] for i in range(rank)]
+    kicks = {1: lift_matrix(ctx, IntMatrix(shear))}
+    for d in range(2, s + 1):
+        images = [generator(ctx, j + 1) for j in range(rank)]
+        j = rng.randrange(rank)
+        images[j] = multiply(images[j], random_element_of_weight(ctx, rng, d))
+        kicks[d] = Endomorphism(ctx, images)
+    others = [identity_endomorphism(ctx), random_automorphism(ctx, rng)]
+    others += [random_k_member(ctx, rng, d) for d in range(1, s + 1)]
+    bases = [random_automorphism(ctx, rng), canonical_symmetry(ctx), random_ia(ctx, rng)]
+    bases.append(random_k_member(ctx, rng, s - 1, nontrivial=True))
+    for g in bases:
+        for d, k in kicks.items():
+            assert k_depth(k) == d - 1
+            f = compose(g, k)
+            assert _first_difference(f, g) == d
+            _assert_agreement_is_membership(f, g, d)
+        for f in others + [g]:
+            _assert_agreement_is_membership(f, g, _first_difference(f, g))
+
+
+def test_agree_modulo_K_refuses_bad_input():
+    f = gamma_example(CTX22)
+    with pytest.raises(InputError):
+        agree_modulo_K(f, f, 0)
+    with pytest.raises(InputError):
+        agree_modulo_K(f, gamma_example(CTX23), 1)
 
 
 def test_in_K_examples():

@@ -147,13 +147,16 @@ def test_falsifier_miss_is_a_search_error(capsys):
 @pytest.mark.parametrize(
     "suite,rank,nil_class,trials,seed",
     # interp-M runs the batched structure relations and the falsifier's
-    # checks; lemma-2.2 at class 3 inverts members of every proper K_m
+    # checks; lemma-2.2 at class 3 inverts members of every proper K_m;
+    # one-step-down and lemma-2.1 decide their relations by comparing images
     [
         ("proposition-sigma", 2, 2, 3, 7),
         ("interp-M", 3, 2, 60, 11),
         ("lemma-2.2", 3, 3, 10, 5),
+        ("one-step-down", 3, 3, 4, 5),
+        ("lemma-2.1", 3, 3, 10, 5),
     ],
-    ids=["proposition-sigma", "interp-M", "lemma-2.2"],
+    ids=["proposition-sigma", "interp-M", "lemma-2.2", "one-step-down", "lemma-2.1"],
 )
 def test_optimized_interpreter_gives_the_same_report(tmp_path, suite, rank, nil_class, trials, seed):
     # internal invariants raise InternalError explicitly, so `python -O`,

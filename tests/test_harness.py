@@ -208,6 +208,66 @@ def test_proposition_sigma_pair_loop_reads_no_coordinates(monkeypatch):
     assert marks[0] == marks[-1]
 
 
+def test_conjugation_checks_form_no_inverse(monkeypatch):
+    # the T+/T- classifier and lemma-2.1 compare composites; no inverse is
+    # formed only to test a relation
+    import random
+    import sys
+
+    from nilaut import automorphisms
+    from nilaut.interpret import t_plus_minus_classify
+    from nilaut.sampling import random_k_member, symmetry_sample
+
+    ctx = automorphisms.GroupContext.get(3, 3)
+    rng = random.Random(19)
+    sample = symmetry_sample(ctx, rng, conjugates=3, perturbed=2)
+    maps = [random_k_member(ctx, rng, m, nontrivial=True) for m in (1, 2)]
+    calls = []
+    real = automorphisms.invert_automorphism
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nilaut") and getattr(module, "invert_automorphism", None) is real:
+            monkeypatch.setattr(module, "invert_automorphism", counting)
+    tags = [t_plus_minus_classify(f, sample).tag for f in maps]
+    assert tags == ["neither", "t_plus"]
+    report = run_suite(SuiteConfig("lemma-2.1", rank=3, nil_class=3, trials=5, seed=11))
+    assert report.passed and len(report.checks) == 2
+    assert calls == []
+
+
+def test_commutator_checks_fail_for_generic_automorphisms(monkeypatch):
+    # with generic automorphisms in place of the IA draws and the symmetry
+    # pool, the commutators still lie in K_m, a normal subgroup, but not in
+    # K_{m+1}: the checks compare images up to degree m + 1, not m
+    import random
+
+    from nilaut import harness
+    from nilaut.sampling import random_automorphism
+
+    pool = [random_automorphism(harness.GroupContext.get(3, 3), random.Random(k)) for k in range(3)]
+    monkeypatch.setattr(harness, "random_ia", lambda ctx, rng: pool[rng.randrange(3)])
+    monkeypatch.setattr(harness, "_theta_pool", lambda cfg, ctx: pool)
+    verdicts = {}
+    for suite in ("lemma-2.1", "lemma-2.2"):
+        report = run_suite(SuiteConfig(suite, rank=3, nil_class=3, trials=3, seed=11))
+        verdicts.update((c["name"], c["passed"]) for c in report.checks)
+    assert verdicts == {
+        "ia-commutes-k1": False,
+        "ia-commutes-k2": False,
+        "layer-parity-m1": False,
+        "layer-parity-m2": False,
+        "layer-parity-m3": False,
+        "kernel-parity-m1": False,
+        "kernel-parity-m2": False,
+        # K_3 is trivial at class 3
+        "kernel-parity-m3": True,
+    }
+
+
 def _logged(monkeypatch, log, name, fail_on, wrong):
     # wrap harness.<name> so each call is logged and the call whose key
     # `fail_on` picks out returns `wrong`; every recorded check is logged

@@ -8,13 +8,16 @@ from nilaut.automorphisms import (
     apply,
     canonical_symmetry,
     compose,
+    conjugate,
     identity_endomorphism,
     inner,
     invert_automorphism,
+    lift_matrix,
 )
 from nilaut.errors import InputError
 from nilaut.glz import IntMatrix, Sublattice, relation_R
 from nilaut.interpret import (
+    TClassification,
     build_structure_M,
     decode_int,
     decode_summand_to_endomorphism,
@@ -33,7 +36,7 @@ from nilaut.nilgroup import (
     multiply,
     parse_element,
 )
-from nilaut.sampling import random_k_member, symmetry_sample
+from nilaut.sampling import random_automorphism, random_k_member, symmetry_sample
 
 CTX22 = GroupContext.get(2, 2)
 CTX23 = GroupContext.get(2, 3)
@@ -67,6 +70,63 @@ def test_t_classification_examples():
     assert verdict.witness is not None
     conj = compose(compose(verdict.witness, swap), invert_automorphism(verdict.witness))
     assert conj != swap and conj != invert_automorphism(swap)
+
+
+def _classify_by_conjugates(f, sample):
+    # the classifier as it was written first: form each conjugate and f^-1
+    finv = invert_automorphism(f)
+    stratum = {}
+    for label, theta in sample:
+        conj = conjugate(theta, f)
+        plus = conj == f
+        minus = conj == finv
+        prev = stratum.setdefault(label, {"plus": True, "minus": True})
+        prev["plus"] = prev["plus"] and plus
+        prev["minus"] = prev["minus"] and minus
+        if not plus and not minus:
+            return TClassification("neither", label, theta, stratum)
+    if all(v["plus"] for v in stratum.values()):
+        return TClassification("t_plus", by_stratum=stratum)
+    if all(v["minus"] for v in stratum.values()):
+        return TClassification("t_minus", by_stratum=stratum)
+    return TClassification("neither", by_stratum=stratum)
+
+
+def test_t_classification_matches_the_conjugate_reference():
+    # theta f theta^-1 == f iff theta f == f theta, and == f^-1 iff
+    # f theta f == theta: the classifier compares composites, the reference
+    # forms conjugates and f^-1
+    rng = random.Random(53)
+    tags = set()
+    for ctx in (CTX22, CTX23, GroupContext.get(3, 3)):
+        s = ctx.nilpotency_class
+        sample = symmetry_sample(ctx, rng, conjugates=3, perturbed=2)
+        maps = [identity_endomorphism(ctx), random_automorphism(ctx, rng)]
+        maps += [random_k_member(ctx, rng, m, nontrivial=m < s) for m in range(1, s + 1)]
+        maps.append(random_k_member(ctx, rng, s - 1, nontrivial=True))
+        for f in maps:
+            got = t_plus_minus_classify(f, sample)
+            ref = _classify_by_conjugates(f, sample)
+            assert (got.tag, got.witness_label, got.by_stratum) == (ref.tag, ref.witness_label, ref.by_stratum)
+            assert got.witness == ref.witness
+            tags.add(got.tag)
+    assert tags == {"t_plus", "t_minus", "neither"}
+
+    # an involution that commutes with every sample member is fixed and
+    # inverted by each: plus and minus both hold in every stratum
+    theta = canonical_symmetry(CTX22)
+    diag = lift_matrix(CTX22, IntMatrix([[1, 0], [0, -1]]))
+    for f, sample in ((theta, [("a", diag), ("b", theta)]), (diag, [("a", theta)])):
+        got = t_plus_minus_classify(f, sample)
+        ref = _classify_by_conjugates(f, sample)
+        assert (got.tag, got.witness_label, got.by_stratum) == (ref.tag, ref.witness_label, ref.by_stratum)
+        assert got.tag == "t_plus"
+        assert all(v == {"plus": True, "minus": True} for v in got.by_stratum.values())
+    # the same involution against a member it does not commute with
+    sample = [("a", theta), ("b", symmetry_sample(CTX22, rng, conjugates=1, perturbed=0)[1][1])]
+    got = t_plus_minus_classify(diag, sample)
+    ref = _classify_by_conjugates(diag, sample)
+    assert (got.tag, got.witness_label, got.by_stratum) == (ref.tag, ref.witness_label, ref.by_stratum)
 
 
 def test_t_minus_members_commute_with_symmetry_pairs():

@@ -176,6 +176,37 @@ def test_descent_verdict_is_the_per_pair_part_of_necessity_check():
     assert verdict.trace.depths[1] == 0
 
 
+@pytest.mark.parametrize("n,s", [(2, 2), (2, 3), (3, 3)])
+def test_descent_verdict_terms_are_the_full_recursion(n, s):
+    # for odd s the last step is tested as phi cur phi == cur and the term
+    # is then a fresh identity; it must equal the full recursion's term s
+    # term by term, with the same depths and verdict, on passing pairs and
+    # on generic phis, where term s is not the identity
+    ctx = GroupContext.get(n, s)
+    rng = random.Random(60 + 10 * n + s)
+    ident = identity_endomorphism(ctx)
+    cases = []
+    for label, theta in symmetry_sample(ctx, rng, conjugates=2, perturbed=1):
+        conj = [random_automorphism(ctx, rng) for _ in range(s)]
+        phis = [compose(compose(c, theta), invert_automorphism(c)) for c in conj]
+        cases.append((random_automorphism(ctx, rng), phis))
+    generic = [random_automorphism(ctx, rng) for _ in range(s + 1)]
+    cases.append((generic[0], generic[1:]))
+    passed = []
+    for sigma, phis in cases:
+        verdict = descent_verdict(sigma, phis)
+        full = sigma_sequence(sigma, phis, s)
+        assert verdict.trace.terms == full.terms
+        assert verdict.trace.depths == full.depths
+        expected = [m for m in range(1, s + 1) if full.depths[m] < m]
+        if full.terms[s] != ident and s not in expected:
+            expected.append(s)
+        assert verdict.violations == expected
+        passed.append(verdict.passed)
+    assert passed == [True] * (len(cases) - 1) + [False]
+    assert full.terms[s] != ident
+
+
 def test_witness_for_diagonal_lift_frozen_trace():
     theta = lift_matrix(CTX22, DIAG)
     wit = find_nontrivial_witness(theta)
