@@ -84,7 +84,14 @@ def check_involution(theta: Endomorphism) -> None:
         raise DomainError("automorphism does not square to the identity")
 
 
-def _recursion_inputs(sigma: Endomorphism, phis, length: int) -> list:
+def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
+    """The first `length` steps of the alternating recursion, with depths.
+
+    Step m = s - 1, for s the class, is the last step of a descent, and
+    inverts when s is odd: then term s = phi cur phi cur^-1 is first tested
+    as phi cur phi == cur, and is a fresh identity, with no inverse formed,
+    when that holds.
+    """
     phis = list(phis)
     if len(phis) < length:
         raise InputError("need %d conjugating automorphisms, got %d" % (length, len(phis)))
@@ -94,23 +101,23 @@ def _recursion_inputs(sigma: Endomorphism, phis, length: int) -> list:
             raise InputError("context mismatch in the recursion inputs")
         if not is_automorphism(f):
             raise DomainError("recursion inputs must be automorphisms")
-    return phis
-
-
-def _step(phi: Endomorphism, cur: Endomorphism, m: int) -> Endomorphism:
-    # term m + 1 from term m; right-associated, so the maps applied are phi
-    # and cur, whose monomial images stay cached across calls, not fresh
-    # composites
-    tail = invert_automorphism(cur) if m % 2 == 0 else cur
-    return compose(phi, compose(cur, compose(phi, tail)))
-
-
-def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
-    """The first `length` steps of the alternating recursion, with depths."""
-    phis = _recursion_inputs(sigma, phis, length)
+    last = ctx.nilpotency_class - 1
     terms = [sigma]
+    cur = sigma
     for m in range(length):
-        terms.append(_step(phis[m], terms[-1], m))
+        phi = phis[m]
+        if m == last and m % 2 == 0:
+            head = compose(phi, compose(cur, phi))
+            if head == cur:
+                cur = identity_endomorphism(ctx)
+            else:
+                cur = compose(head, invert_automorphism(cur))
+        else:
+            tail = invert_automorphism(cur) if m % 2 == 0 else cur
+            # right-associated, so the maps applied are phi and cur, whose
+            # monomial images stay cached across calls, not fresh composites
+            cur = compose(phi, compose(cur, compose(phi, tail)))
+        terms.append(cur)
     return SigmaTrace(terms, [k_depth(t) for t in terms])
 
 
@@ -133,28 +140,10 @@ def descent_verdict(sigma: Endomorphism, phis) -> NecessityVerdict:
     """Run the recursion on sigma against the phis and check the descent.
 
     The verdict passes when term m lies in K_m for every m up to the class
-    s and term s is the identity; the violations list the failing m.  The
-    terms are those of `sigma_sequence`, but when the last step inverts
-    (s odd), term s = phi cur phi cur^-1 is first tested as phi cur phi ==
-    cur, and is the identity, with no inverse formed, when that holds.
+    s and term s is the identity; the violations list the failing m.
     """
-    ctx = sigma.context
-    s = ctx.nilpotency_class
-    phis = _recursion_inputs(sigma, phis, s)
-    terms = [sigma]
-    for m in range(s - 1):
-        terms.append(_step(phis[m], terms[-1], m))
-    phi, cur = phis[s - 1], terms[-1]
-    if (s - 1) % 2 == 0:
-        # phi cur phi cur^-1 is the identity iff phi cur phi == cur
-        head = compose(phi, compose(cur, phi))
-        if head == cur:
-            terms.append(identity_endomorphism(ctx))
-        else:
-            terms.append(compose(head, invert_automorphism(cur)))
-    else:
-        terms.append(_step(phi, cur, s - 1))
-    trace = SigmaTrace(terms, [k_depth(t) for t in terms])
+    s = sigma.context.nilpotency_class
+    trace = sigma_sequence(sigma, phis, s)
     violations = [m for m in range(1, s + 1) if trace.depths[m] < m]
     if not _is_identity(trace.terms[s]) and s not in violations:
         violations.append(s)

@@ -10,6 +10,7 @@ from nilaut.automorphisms import (
     identity_endomorphism,
     inner,
     invert_automorphism,
+    k_depth,
     lift_matrix,
 )
 from nilaut.errors import DomainError, InputError
@@ -176,12 +177,22 @@ def test_descent_verdict_is_the_per_pair_part_of_necessity_check():
     assert verdict.trace.depths[1] == 0
 
 
+def _inverting_recursion(sigma, phis, length):
+    # reference: every even step forms cur^-1, the last one included
+    terms = [sigma]
+    for m in range(length):
+        cur = terms[-1]
+        tail = invert_automorphism(cur) if m % 2 == 0 else cur
+        terms.append(compose(compose(compose(phis[m], cur), phis[m]), tail))
+    return terms
+
+
 @pytest.mark.parametrize("n,s", [(2, 2), (2, 3), (3, 3)])
 def test_descent_verdict_terms_are_the_full_recursion(n, s):
     # for odd s the last step is tested as phi cur phi == cur and the term
-    # is then a fresh identity; it must equal the full recursion's term s
-    # term by term, with the same depths and verdict, on passing pairs and
-    # on generic phis, where term s is not the identity
+    # is then a fresh identity; it must equal the inverting recursion's
+    # term s term by term, with the same depths and verdict, on passing
+    # pairs and on generic phis, where term s is not the identity
     ctx = GroupContext.get(n, s)
     rng = random.Random(60 + 10 * n + s)
     ident = identity_endomorphism(ctx)
@@ -195,16 +206,17 @@ def test_descent_verdict_terms_are_the_full_recursion(n, s):
     passed = []
     for sigma, phis in cases:
         verdict = descent_verdict(sigma, phis)
-        full = sigma_sequence(sigma, phis, s)
-        assert verdict.trace.terms == full.terms
-        assert verdict.trace.depths == full.depths
-        expected = [m for m in range(1, s + 1) if full.depths[m] < m]
-        if full.terms[s] != ident and s not in expected:
+        reference = _inverting_recursion(sigma, phis, s)
+        assert verdict.trace.terms == reference
+        assert sigma_sequence(sigma, phis, s).terms == reference
+        assert verdict.trace.depths == [k_depth(t) for t in reference]
+        expected = [m for m in range(1, s + 1) if k_depth(reference[m]) < m]
+        if reference[s] != ident and s not in expected:
             expected.append(s)
         assert verdict.violations == expected
         passed.append(verdict.passed)
     assert passed == [True] * (len(cases) - 1) + [False]
-    assert full.terms[s] != ident
+    assert reference[s] != ident
 
 
 def test_witness_for_diagonal_lift_frozen_trace():
