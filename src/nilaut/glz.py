@@ -484,12 +484,10 @@ def xy_matrices(s: IntMatrix, m: int, parity: str):
     """The X(m) and Y(m) products J S J S and J S J S^-1.
 
     J is the lower-triangular involution family member: (1 0; 2m -1) for
-    even parity, (1 0; 2m-1 -1) for odd parity.
+    even parity, (1 0; 2m-1 -1) for odd parity.  S must be unimodular.
     """
     if parity not in ("even", "odd"):
         raise InputError("parity must be 'even' or 'odd'")
-    if s.det() not in (1, -1):
-        raise DomainError("matrix must have determinant +1 or -1")
     j = _family_matrix(parity, m)
     x = j @ s @ j @ s
     y = j @ s @ j @ s.inverse_unimodular()
@@ -689,14 +687,14 @@ def _random_shears(rng, n: int, min_factors: int, max_factors: int, bound: int):
     return IntMatrix._trusted(tuple(map(tuple, out))), IntMatrix._trusted(tuple(map(tuple, inv)))
 
 
-def random_unimodular(rng, n: int, min_factors: int = 5, max_factors: int = 15, bound: int = 3) -> IntMatrix:
-    """Product of random elementary shear matrices, entries in [-bound, bound].
+def random_unimodular(rng, n: int) -> IntMatrix:
+    """Product of 5 to 15 random shears I + k E_ij with k in [-3, 3].
 
     Needs n >= 2, since a shear has two distinct indices.
     """
     if n < 2:
         raise InputError("random unimodular matrices need n >= 2, got %r" % (n,))
-    return _random_shears(rng, n, min_factors, max_factors, bound)[0]
+    return _random_shears(rng, n, 5, 15, 3)[0]
 
 
 def order3_falsifier(mat: IntMatrix, samples: int, rng):

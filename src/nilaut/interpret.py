@@ -10,12 +10,12 @@ as summands, and a matrix encoding of the ring of integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, mul
 
-from .errors import DomainError, InputError, InternalError
+from .errors import DomainError, InputError
 from .automorphisms import (
     Endomorphism,
     _is_identity,
@@ -27,14 +27,12 @@ from .glz import (
     IntMatrix,
     Sublattice,
     involution_eigenlattices,
-    is_direct_summand,
     random_unimodular,
     relation_R,
 )
 from .nilgroup import GroupContext, generator, invert, multiply
 
 __all__ = [
-    "TClassification",
     "t_plus_minus_classify",
     "factor_inner_as_symmetries",
     "StructureM",
@@ -55,22 +53,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TClassification:
-    tag: str  # "t_plus", "t_minus" or "neither"
-    witness_label: str = None
-    witness: Endomorphism = None
-    by_stratum: dict = field(default_factory=dict)
-
-
-def t_plus_minus_classify(f: Endomorphism, symmetry_sample) -> TClassification:
+def t_plus_minus_classify(f: Endomorphism, symmetry_sample) -> str:
     """Conjugation behavior of f across a sample of symmetries mod IA.
 
-    t_plus: every sampled conjugate equals f; t_minus: every sampled
-    conjugate equals f^-1; neither comes with the violating sample member
-    and is an exact verdict, while t_plus and t_minus are sampled ones.
-    Per-stratum outcomes are recorded so exact symmetries and IA-perturbed
-    members can be compared.
+    Returns "t_plus" when every sampled conjugate equals f, "t_minus" when
+    every one equals f^-1, and "neither" otherwise.  "neither" is an exact
+    verdict; "t_plus" and "t_minus" are sampled ones.
 
     No inverse is formed: theta f theta^-1 = f iff theta f = f theta, and
     theta f theta^-1 = f^-1 iff f theta f = theta.  When the first holds,
@@ -82,8 +70,8 @@ def t_plus_minus_classify(f: Endomorphism, symmetry_sample) -> TClassification:
     if not sample:
         raise InputError("symmetry sample must be nonempty")
     involution = None
-    stratum = {}
-    for label, theta in sample:
+    all_plus = all_minus = True
+    for theta in sample:
         lhs = compose(theta, f)
         plus = lhs == compose(f, theta)
         if plus:
@@ -92,19 +80,11 @@ def t_plus_minus_classify(f: Endomorphism, symmetry_sample) -> TClassification:
             minus = involution
         else:
             minus = compose(f, lhs) == theta
-        prev = stratum.setdefault(label, {"plus": True, "minus": True})
-        prev["plus"] = prev["plus"] and plus
-        prev["minus"] = prev["minus"] and minus
-        if not plus and not minus:
-            out = TClassification("neither", label, theta, stratum)
-            return out
-    all_plus = all(v["plus"] for v in stratum.values())
-    all_minus = all(v["minus"] for v in stratum.values())
-    if all_plus:
-        return TClassification("t_plus", by_stratum=stratum)
-    if all_minus:
-        return TClassification("t_minus", by_stratum=stratum)
-    return TClassification("neither", by_stratum=stratum)
+        all_plus = all_plus and plus
+        all_minus = all_minus and minus
+        if not all_plus and not all_minus:
+            return "neither"
+    return "t_plus" if all_plus else "t_minus"
 
 
 def factor_inner_as_symmetries(ctx: GroupContext, gen_index: int):
@@ -236,8 +216,6 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
             if lat not in summands:
                 summands.append(lat)
                 equations.append([r for r in eq.rows if any(r)])
-    if not all(is_direct_summand(s) for s in summands):
-        raise InternalError("a harvested eigenlattice is not a direct summand")
     # the vector sort, in insertion order: vector -> its position
     index = {}
 
@@ -400,9 +378,5 @@ def int_add(a: EncodedInteger, b: EncodedInteger) -> EncodedInteger:
 def int_mul(a: EncodedInteger, b: EncodedInteger) -> EncodedInteger:
     _check_carrier(a.matrix)
     _check_carrier(b.matrix)
-    vec = (decode_int(b), 0)  # b as the vector b * e1
-    moved = a.matrix @ vec
-    diff = (moved[0] - vec[0], moved[1] - vec[1])
-    if diff[0] != 0:
-        raise InternalError("the carrier moved the first coordinate")
-    return encode_int(diff[1])
+    # (1 0; a 1) sends b * e1 to b * e1 + a b * e2
+    return encode_int((a.matrix @ (b.value, 0))[1])

@@ -303,8 +303,6 @@ def _unit_powers(ctx, ser):
 
     u has no constant term, so u^k starts in degree k and u^(s+1) truncates
     to zero."""
-    if ser[0][0] != 1:
-        raise InternalError("series is not a group image")
     u = [list(blk) for blk in ser]
     u[0][0] = 0
     powers = []

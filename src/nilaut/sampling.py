@@ -46,13 +46,14 @@ def random_element_of_weight(ctx: GroupContext, rng, m: int, bound: int = 4) -> 
     return from_exponents(ctx, exps)
 
 
-def random_ia(ctx: GroupContext, rng, bound: int = 3) -> Endomorphism:
+def random_ia(ctx: GroupContext, rng) -> Endomorphism:
     """x_j -> x_j t_j with t_j in N_2: exactly the IA automorphisms."""
-    return random_k_member(ctx, rng, 1, bound)
+    return random_k_member(ctx, rng, 1)
 
 
-def random_k_member(ctx: GroupContext, rng, m: int, bound: int = 3, nontrivial: bool = False) -> Endomorphism:
-    """A member of K_m: x_j -> x_j t_j with every t_j in N_{m+1}."""
+def random_k_member(ctx: GroupContext, rng, m: int, nontrivial: bool = False) -> Endomorphism:
+    """A member of K_m: x_j -> x_j t_j with every t_j in N_{m+1}, whose
+    exponents are drawn from [-3, 3]."""
     if not 1 <= m <= ctx.nilpotency_class:
         raise InputError("filtration index %r out of range 1..%d" % (m, ctx.nilpotency_class))
     if m == ctx.nilpotency_class:
@@ -62,7 +63,7 @@ def random_k_member(ctx: GroupContext, rng, m: int, bound: int = 3, nontrivial: 
     lo = ctx.weight_range(m + 1)[0]
     while True:
         tails = [
-            [0] * lo + [rng.randint(-bound, bound) for _ in range(lo, ctx.dim)]
+            [0] * lo + [rng.randint(-3, 3) for _ in range(lo, ctx.dim)]
             for _ in range(ctx.rank)
         ]
         if not nontrivial or any(any(t) for t in tails):
@@ -94,14 +95,13 @@ def symmetry_sample(ctx: GroupContext, rng, conjugates: int = 20, perturbed: int
     """Stratified involution sample: the canonical symmetry, conjugated
     symmetries, and IA-composed members of the same coset family.
 
-    Returns (label, involution) pairs; every entry squares to the identity.
+    Returns the involutions in that order; every entry squares to the
+    identity.
     """
-    out = [("canonical", canonical_symmetry(ctx))]
-    for _ in range(conjugates):
-        out.append(("conjugated", conjugated_symmetry(ctx, rng)))
-    for _ in range(perturbed):
-        out.append(("ia_perturbed", ia_perturbed_symmetry(ctx, rng)))
-    for label, theta in out:
+    out = [canonical_symmetry(ctx)]
+    out += [conjugated_symmetry(ctx, rng) for _ in range(conjugates)]
+    out += [ia_perturbed_symmetry(ctx, rng) for _ in range(perturbed)]
+    for i, theta in enumerate(out):
         if not _is_identity(compose(theta, theta)):
-            raise InternalError("sampled %s member is not an involution" % label)
+            raise InternalError("sampled member %d is not an involution" % i)
     return out

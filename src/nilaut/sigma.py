@@ -140,13 +140,12 @@ def descent_verdict(sigma: Endomorphism, phis) -> NecessityVerdict:
     """Run the recursion on sigma against the phis and check the descent.
 
     The verdict passes when term m lies in K_m for every m up to the class
-    s and term s is the identity; the violations list the failing m.
+    s; the violations list the failing m.  K_s is trivial, so term s in K_s
+    is the identity: k_depth is s + 1 for the identity and never s.
     """
     s = sigma.context.nilpotency_class
     trace = sigma_sequence(sigma, phis, s)
     violations = [m for m in range(1, s + 1) if trace.depths[m] < m]
-    if not _is_identity(trace.terms[s]) and s not in violations:
-        violations.append(s)
     return NecessityVerdict(not violations, trace, violations)
 
 
@@ -229,8 +228,6 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     expected = frame @ _embed_block(walk_mats[-1], n) @ frame_inv
     if final_ab != expected:
         raise InternalError("lifted trace disagrees with the matrix walk")
-    if final_ab.is_identity():
-        raise InternalError("witness trace ends in the identity")
     return Witness(
         sigma=sigma,
         thetas=thetas,

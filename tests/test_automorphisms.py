@@ -531,7 +531,7 @@ def test_symmetry_examples():
     assert abelianization_matrix(sym) == -IntMatrix.identity(2)
     assert compose(sym, sym) == identity_endomorphism(CTX22)
     rng = random.Random(8)
-    for label, t in symmetry_sample(CTX33, rng, conjugates=3, perturbed=2):
+    for t in symmetry_sample(CTX33, rng, conjugates=3, perturbed=2):
         assert abelianization_matrix(t) == -IntMatrix.identity(3)
 
 
@@ -562,7 +562,7 @@ def test_lemma_parity_on_filtration_layers():
         sample = symmetry_sample(ctx, rng, conjugates=4, perturbed=0)
         for m in range(1, s + 1):
             for _ in range(20):
-                _, theta = sample[rng.randrange(len(sample))]
+                theta = sample[rng.randrange(len(sample))]
                 c = random_element_of_weight(ctx, rng, m)
                 sign = -1 if m % 2 == 0 else 1
                 residue = multiply(apply(theta, c), power_of(c, sign))
@@ -583,7 +583,7 @@ def test_lemma_parity_on_kernel_layers():
         ident = identity_endomorphism(ctx)
         for m in range(1, s + 1):
             for _ in range(10):
-                _, theta = sample[rng.randrange(len(sample))]
+                theta = sample[rng.randrange(len(sample))]
                 gamma = random_k_member(ctx, rng, m)
                 conj = compose(compose(theta, gamma), invert_automorphism(theta))
                 tail = gamma if m % 2 == 1 else invert_automorphism(gamma)

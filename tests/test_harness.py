@@ -232,7 +232,7 @@ def test_conjugation_checks_form_no_inverse(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("nilaut") and getattr(module, "invert_automorphism", None) is real:
             monkeypatch.setattr(module, "invert_automorphism", counting)
-    tags = [t_plus_minus_classify(f, sample).tag for f in maps]
+    tags = [t_plus_minus_classify(f, sample) for f in maps]
     assert tags == ["neither", "t_plus"]
     report = run_suite(SuiteConfig("lemma-2.1", rank=3, nil_class=3, trials=5, seed=11))
     assert report.passed and len(report.checks) == 2

@@ -197,7 +197,7 @@ def test_descent_verdict_terms_are_the_full_recursion(n, s):
     rng = random.Random(60 + 10 * n + s)
     ident = identity_endomorphism(ctx)
     cases = []
-    for label, theta in symmetry_sample(ctx, rng, conjugates=2, perturbed=1):
+    for theta in symmetry_sample(ctx, rng, conjugates=2, perturbed=1):
         conj = [random_automorphism(ctx, rng) for _ in range(s)]
         phis = [compose(compose(c, theta), invert_automorphism(c)) for c in conj]
         cases.append((random_automorphism(ctx, rng), phis))
@@ -268,8 +268,8 @@ def test_no_witness_for_symmetries():
     assert find_nontrivial_witness(canonical_symmetry(CTX22)) is None
     assert find_nontrivial_witness(canonical_symmetry(CTX23)) is None
     rng = random.Random(23)
-    for label, theta in symmetry_sample(CTX22, rng, conjugates=3, perturbed=2):
-        assert find_nontrivial_witness(theta) is None, label
+    for theta in symmetry_sample(CTX22, rng, conjugates=3, perturbed=2):
+        assert find_nontrivial_witness(theta) is None
 
 
 def test_abelianization_commutes_with_recursion():
