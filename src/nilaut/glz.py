@@ -489,9 +489,8 @@ def xy_matrices(s: IntMatrix, m: int, parity: str):
     if parity not in ("even", "odd"):
         raise InputError("parity must be 'even' or 'odd'")
     j = _family_matrix(parity, m)
-    x = j @ s @ j @ s
-    y = j @ s @ j @ s.inverse_unimodular()
-    return x, y
+    jsj = j @ s @ j
+    return jsj @ s, jsj @ s.inverse_unimodular()
 
 
 @dataclass(frozen=True)

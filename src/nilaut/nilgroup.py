@@ -185,7 +185,9 @@ class GroupContext:
         self._basis_series = []
         for b in self.basis:
             self._basis_series.append(self._series_of_basis(b))
-        self._bpowers = [_unit_powers(self, ser) for ser in self._basis_series]
+        # each basis factor b as the sparse triples of the nonzero powers of
+        # b - 1; a light factor (2 * weight > s) keeps b - 1 alone
+        self._bterms = [_unit_powers(self, ser) for ser in self._basis_series]
         # the degree-w block of a weight-w basis series is its Hall
         # polynomial; restricted to the Lyndon-word entries these form a
         # square integer matrix of det +-1 (Chen-Fox-Lyndon; Reutenauer,
@@ -199,11 +201,6 @@ class GroupContext:
             minor = IntMatrix([[blk[p] for blk in blocks] for p in lyndon])
             polys = [[(p, v) for p, v in enumerate(blk) if v] for blk in blocks]
             self._solvers[w] = (lyndon, minor.inverse_unimodular().rows, polys)
-        self._light_start = self.dim
-        for b in self.basis:
-            if 2 * b.weight > s:
-                self._light_start = b.index
-                break
 
     @classmethod
     def get(cls, rank: int, nilpotency_class: int) -> "GroupContext":
@@ -291,27 +288,28 @@ def _series_mul(ctx, a, b):
     return out
 
 
-def _series_iadd_scaled(acc, ser, c):
-    for blk_a, blk_s in zip(acc, ser):
-        for i, v in enumerate(blk_s):
-            if v:
-                blk_a[i] += c * v
+def _scatter_terms(acc, terms, c):
+    for d, i, v in terms:
+        acc[d][i] += c * v
 
 
 def _unit_powers(ctx, ser):
-    """The nonzero powers u, u^2, ... of u = ser - 1, at most s of them.
+    """The nonzero powers u, u^2, ... of u = ser - 1, each as its sparse
+    (degree, index, value) triples.
 
-    u has no constant term, so u^k starts in degree k and u^(s+1) truncates
-    to zero."""
+    If u starts in degree w, u^k starts in degree k * w (the free associative
+    ring has no zero divisors), so exactly s // w powers survive truncation:
+    one alone when 2 * w > s, with no product formed."""
+    s = ctx.nilpotency_class
     u = [list(blk) for blk in ser]
     u[0][0] = 0
+    low = next((d for d in range(1, s + 1) if any(u[d])), s + 1)
     powers = []
     cur = u
-    while any(any(blk) for blk in cur):
-        powers.append(cur)
-        if len(powers) == ctx.nilpotency_class:
-            break
-        cur = _series_mul(ctx, cur, u)
+    for k in range(s // low):
+        if k:
+            cur = _series_mul(ctx, cur, u)
+        powers.append([(d, i, v) for d, blk in enumerate(cur) for i, v in enumerate(blk) if v])
     return powers
 
 
@@ -319,10 +317,10 @@ def _binomial_series(ctx, powers, e):
     """(1 + u)^e = sum of binom(e, k) u^k for any integer e, from the powers
     of u; the sum is finite because u^k vanishes beyond k = s."""
     out = _unit_series(ctx)
-    for k, p in enumerate(powers, start=1):
+    for k, terms in enumerate(powers, start=1):
         c = _binom(e, k)
         if c:
-            _series_iadd_scaled(out, p, c)
+            _scatter_terms(out, terms, c)
     return out
 
 
@@ -335,23 +333,24 @@ def _series_comm(ctx, a, b):
 def _ordered_product(ctx, factors):
     """The series of the ordered product of b_i^e over the (i, e) pairs.
 
-    Basis factors with 2 * weight > s have no surviving squares or cross
-    terms, so their ordered product collapses to 1 + sum of e * (b_i - 1)
-    exactly; they must come after every other factor, and only the ones
-    before them need genuine series multiplications.
+    Light basis factors (2 * weight > s) keep only b_i - 1: they have no
+    surviving squares or cross terms, so their ordered product collapses to
+    1 + sum of e * (b_i - 1) exactly.  They must come after every other
+    factor, and only the ones before them need genuine series
+    multiplications.
     """
-    light = ctx._light_start
     out = None
     tail = None
     for i, e in factors:
         if not e:
             continue
-        if i >= light:
+        powers = ctx._bterms[i]
+        if len(powers) == 1:
             if tail is None:
                 tail = _unit_series(ctx)
-            _series_iadd_scaled(tail, ctx._bpowers[i][0], e)
+            _scatter_terms(tail, powers[0], e)
         else:
-            f = _binomial_series(ctx, ctx._bpowers[i], e)
+            f = _binomial_series(ctx, powers, e)
             out = f if out is None else _series_mul(ctx, out, f)
     if tail is not None:
         out = tail if out is None else _series_mul(ctx, out, tail)
@@ -564,7 +563,7 @@ def collect(ctx: GroupContext, word) -> GroupElement:
                 raise InputError("generator index %r out of range 1..%d" % (i, ctx.rank))
             if s not in (1, -1):
                 raise InputError("letter sign must be +1 or -1, got %r" % (s,))
-            f = factors[i, s] = _binomial_series(ctx, ctx._bpowers[i - 1], s)
+            f = factors[i, s] = _binomial_series(ctx, ctx._bterms[i - 1], s)
         ser = _series_mul(ctx, ser, f)
     return _from_series(ctx, ser)
 

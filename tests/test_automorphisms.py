@@ -27,7 +27,6 @@ from nilaut.glz import IntMatrix, random_unimodular
 from nilaut.nilgroup import (
     GroupContext,
     GroupElement,
-    _series_iadd_scaled,
     _series_mul,
     _unit_series,
     _zero_series,
@@ -128,7 +127,9 @@ def _dense_apply(f, g):
             if deg:
                 mono[deg, idx] = _series_mul(ctx, mono[deg - 1, idx // rank], subs[idx % rank])
             if c:
-                _series_iadd_scaled(out, mono[deg, idx], c)
+                for blk_out, blk_mono in zip(out, mono[deg, idx]):
+                    for i, v in enumerate(blk_mono):
+                        blk_out[i] += c * v
     return out
 
 

@@ -170,6 +170,62 @@ def test_power_is_repeated_multiplication(n, s):
             assert power(g, e).exponents == want.exponents
 
 
+def _word_series(ctx, word):
+    # the series of a word by dense products of hand-built letter series:
+    # 1 + X_i, or its inverse 1 - X_i + X_i^2 - ...; no basis-factor table
+    ser = ng._unit_series(ctx)
+    for i, sign in word:
+        letter = ng._unit_series(ctx)
+        pos = 0
+        for d in range(1, ctx.nilpotency_class + 1):
+            pos = pos * ctx.rank + i - 1  # X_i^d within the degree-d block
+            letter[d][pos] = (-1) ** d if sign < 0 else int(d == 1)
+        ser = ng._series_mul(ctx, ser, letter)
+    return ser
+
+
+@pytest.mark.parametrize("n,s", [(3, 3), (2, 6), (3, 5), (4, 4)])
+def test_basis_factor_tables_rebuild_the_powers(n, s):
+    # the triples of each factor rebuild b - 1 and its nonzero powers entry
+    # for entry; a light factor (2 * weight > s) keeps b - 1 alone.  Above
+    # weight 1 and below class s, b - 1 has terms beyond its Hall polynomial
+    ctx = GroupContext.get(n, s)
+    for b in ctx.basis:
+        u = _word_series(ctx, _basis_word(ctx, b.index))
+        u[0][0] -= 1
+        want = []
+        cur = u
+        while any(any(blk) for blk in cur):
+            want.append(cur)
+            cur = ng._series_mul(ctx, cur, u)
+        got = ctx._bterms[b.index]
+        assert len(got) == len(want) == s // b.weight
+        for terms, pw in zip(got, want):
+            rebuilt = ng._zero_series(ctx)
+            for d, i, v in terms:
+                assert v and not rebuilt[d][i]
+                rebuilt[d][i] = v
+            assert rebuilt == pw
+        if 1 < b.weight < s:
+            assert any(d > b.weight for d, _, _ in got[0])
+
+
+@pytest.mark.parametrize("n,s", [(3, 3), (2, 6), (3, 5), (4, 4)])
+def test_ordered_product_is_the_product_of_basis_powers(n, s):
+    # heavy factors multiplied, light ones summed in one tail: the same
+    # series as multiplying the powers of the basis elements in basis order
+    ctx = GroupContext.get(n, s)
+    rng = random.Random(700 + 10 * n + s)
+    for _ in range(3):
+        exps = [rng.randint(-3, 3) for _ in range(ctx.dim)]
+        for w in range(1, s + 1):
+            exps[rng.randrange(*ctx.weight_range(w))] = rng.choice((-2, -1, 1, 2))
+        want = identity(ctx)
+        for i, e in enumerate(exps):
+            want = multiply(want, power(basis_element(ctx, i), e))
+        assert ng._series_of_coords(ctx, exps) == want._series
+
+
 def test_weight_examples():
     assert weight(identity(CTX22)) == 3
     assert weight(from_exponents(CTX22, (0, 0, 3))) == 2
