@@ -40,7 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=None, help="trial count override")
     verify.add_argument("--seed", type=int, default=None, help="master seed")
     verify.add_argument("--report", default=None, help="write the canonical JSON report here")
-    verify.add_argument("--m-range", type=_parse_m_range, default=None, help="parameter range a:b")
+    verify.add_argument(
+        "--m-range",
+        type=_parse_m_range,
+        default=None,
+        help="parameter range a:b; a negative a needs the = form, --m-range=-10:10",
+    )
     verify.add_argument("--config", default=None, help="JSON config file; explicit flags win")
 
     sub.add_parser("list-suites", help="print the suite table")

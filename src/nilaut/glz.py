@@ -27,7 +27,6 @@ __all__ = [
     "element_order",
     "classify_involution2",
     "xy_matrices",
-    "noncentral_successor",
     "noncentral_sigma_walk",
     "is_direct_summand",
     "find_complement",
@@ -473,11 +472,13 @@ def classify_involution2(mat: IntMatrix):
     return cls, p
 
 
-def _family_matrix(parity: str, m: int, orientation: str = "lower") -> IntMatrix:
+def _family_rows(parity: str, m: int, orientation: str):
     k = 2 * m if parity == "even" else 2 * m - 1
-    if orientation == "lower":
-        return IntMatrix([[1, 0], [k, -1]])
-    return IntMatrix([[1, k], [0, -1]])
+    return ((1, 0), (k, -1)) if orientation == "lower" else ((1, k), (0, -1))
+
+
+def _family_matrix(parity: str, m: int, orientation: str = "lower") -> IntMatrix:
+    return IntMatrix._trusted(_family_rows(parity, m, orientation))
 
 
 def xy_matrices(s: IntMatrix, m: int, parity: str):
@@ -502,39 +503,74 @@ class SuccessorRecord:
     matrix: IntMatrix
 
 
-def _search_order(m_range):
-    """The parameters of m_range in the order 0, 1, -1, 2, -2, ..."""
-    return sorted(range(m_range[0], m_range[1] + 1), key=lambda m: (abs(m), m < 0))
+def _search_order(lo: int, hi: int):
+    """The parameters lo..hi in the order 0, 1, -1, 2, -2, ..., generated lazily."""
+    if lo > hi:
+        return
+    # a runs over |m| from the smallest in range; a is in range iff a <= hi
+    # and -a iff -a >= lo
+    for a in range(0 if lo <= 0 <= hi else min(abs(lo), abs(hi)), max(-lo, hi) + 1):
+        if a <= hi:
+            yield a
+        if a and -a >= lo:
+            yield -a
 
 
-def noncentral_successor(
-    s: IntMatrix,
-    mode: str,
-    parity: str,
-    m_range=(-5, 5),
-) -> SuccessorRecord:
-    """Smallest-|m| family member whose X- or Y-step output is non-central.
+def _mul2(a, b, p):
+    """The product of 2x2 row tuples, reduced mod p unless p is None."""
+    (a0, a1), (a2, a3) = a
+    (b0, b1), (b2, b3) = b
+    c = (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+    if p is not None:
+        c = [x % p for x in c]
+    return (c[0], c[1]), (c[2], c[3])
 
-    Search order is 0, 1, -1, 2, -2, ...; the upper-triangular mirror
-    family (same conjugacy class) is tried when the lower one degenerates,
-    which happens exactly for +-unipotent lower-triangular inputs.
+
+WALK_CERT_MODULUS = (1 << 127) - 1  # fixed prime for residue certificates
+
+
+def _walk(s0: IntMatrix, steps: int, parity: str, m_range, p):
+    """The non-central walk from s0, on exact entries or on residues mod p.
+
+    Step k applies S -> J S J S^e with e = -1 for even k (mode Y) and +1
+    for odd k (mode X).  J is the first family member, lower orientation
+    before upper and m in the order of `_search_order`, whose output is
+    not central; the upper mirror family (same conjugacy class) serves
+    when the lower one degenerates, which happens exactly for
+    +-unipotent lower-triangular inputs.  S^-1 is det S times the
+    adjugate, exact for det +-1; every term after the seed has det 1.
     """
-    if mode not in ("X", "Y"):
-        raise InputError("mode must be 'X' or 'Y'")
+    if s0.nrows != 2 or s0.ncols != 2:
+        raise InputError("walk expects a 2x2 matrix")
+    det = s0.det()
+    if det not in (1, -1):
+        raise DomainError("matrix must have determinant +1 or -1")
+    if s0.is_central():
+        raise DomainError("walk seed must be non-central")
     if parity not in ("even", "odd"):
         raise InputError("parity must be 'even' or 'odd'")
-    if s.is_central():
-        raise DomainError("walk input must be non-central")
-    sinv = s.inverse_unimodular()
-    for orientation in ("lower", "upper"):
-        for m in _search_order(m_range):
-            j = _family_matrix(parity, m, orientation)
-            cand = j @ s @ j @ (s if mode == "X" else sinv)
-            if not cand.is_central():
-                return SuccessorRecord(m, parity, orientation, mode, cand)
-    raise SearchExhausted(
-        "no non-central successor for %r within m range %s" % (s.rows, (m_range,))
-    )
+    cur = s0.rows
+    records = []
+    for k in range(steps):
+        (a, b), (c, d) = cur
+        second = cur if k % 2 else ((det * d, -det * b), (-det * c, det * a))
+        family = ((o, m) for o in ("lower", "upper") for m in _search_order(*m_range))
+        for orientation, m in family:
+            j = _family_rows(parity, m, orientation)
+            cand = _mul2(_mul2(_mul2(j, cur, p), j, p), second, p)
+            (w, x), (y, z) = cand
+            if x or y or w != z:
+                break
+        else:
+            raise SearchExhausted(
+                "no non-central successor for %r within m range %s" % (cur, (m_range,))
+                if p is None
+                else "no certified non-central successor at step %d" % k
+            )
+        mode = "X" if k % 2 else "Y"
+        records.append(SuccessorRecord(m, parity, orientation, mode, IntMatrix._trusted(cand)))
+        cur, det = cand, 1
+    return [rec.matrix for rec in records], records
 
 
 def noncentral_sigma_walk(s0: IntMatrix, steps: int, parity: str = "even", m_range=(-5, 5)):
@@ -544,46 +580,7 @@ def noncentral_sigma_walk(s0: IntMatrix, steps: int, parity: str = "even", m_ran
     +1 for odd k, choosing per step a family involution that keeps the
     result non-central.  Returns (matrices, records) for reproducibility.
     """
-    if s0.is_central():
-        raise DomainError("walk seed must be non-central")
-    cur = s0
-    mats = []
-    records = []
-    for k in range(steps):
-        mode = "Y" if k % 2 == 0 else "X"
-        rec = noncentral_successor(cur, mode, parity, m_range)
-        cur = rec.matrix
-        mats.append(cur)
-        records.append(rec)
-    return mats, records
-
-
-WALK_CERT_MODULUS = (1 << 127) - 1  # fixed prime for residue certificates
-
-
-def _mod_mul2(a, b, p):
-    return (
-        (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % p,
-            (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % p,
-        ),
-        (
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % p,
-            (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % p,
-        ),
-    )
-
-
-def _mod_inv2(a, det, p):
-    # det is the exact determinant, +1 or -1, so the inverse is det * adjugate
-    return (
-        ((det * a[1][1]) % p, (-det * a[0][1]) % p),
-        ((-det * a[1][0]) % p, (det * a[0][0]) % p),
-    )
-
-
-def _mod_is_central2(a, p):
-    return a[0][1] % p == 0 and a[1][0] % p == 0 and (a[0][0] - a[1][1]) % p == 0
+    return _walk(s0, steps, parity, m_range, None)
 
 
 def noncentral_walk_certificate(
@@ -602,41 +599,7 @@ def noncentral_walk_certificate(
     search order as noncentral_sigma_walk and the records have the same
     shape, with residue matrices in place of exact ones.
     """
-    if s0.nrows != 2 or s0.ncols != 2:
-        raise InputError("walk certificate expects a 2x2 matrix")
-    det = s0.det()
-    if det not in (1, -1):
-        raise DomainError("matrix must have determinant +1 or -1")
-    if s0.is_central():
-        raise DomainError("walk seed must be non-central")
-    if parity not in ("even", "odd"):
-        raise InputError("parity must be 'even' or 'odd'")
-    p = WALK_CERT_MODULUS
-
-    def residues(mat):
-        return tuple(tuple(x % p for x in row) for row in mat.rows)
-
-    # the family matrices mod p, in the search order of noncentral_successor
-    family = [
-        (orientation, m, residues(_family_matrix(parity, m, orientation)))
-        for orientation in ("lower", "upper")
-        for m in _search_order(m_range)
-    ]
-    cur = residues(s0)
-    records = []
-    for k in range(steps):
-        mode = "Y" if k % 2 == 0 else "X"
-        second = cur if mode == "X" else _mod_inv2(cur, det, p)
-        for orientation, m, j in family:
-            cand = _mod_mul2(_mod_mul2(_mod_mul2(j, cur, p), j, p), second, p)
-            if not _mod_is_central2(cand, p):
-                break
-        else:
-            raise SearchExhausted("no certified non-central successor at step %d" % k)
-        records.append(SuccessorRecord(m, parity, orientation, mode, IntMatrix(cand)))
-        # every later term has determinant 1
-        cur, det = cand, 1
-    return [rec.matrix for rec in records], records
+    return _walk(s0, steps, parity, m_range, WALK_CERT_MODULUS)
 
 
 def involution_eigenlattices(mat: IntMatrix):

@@ -182,12 +182,12 @@ class GroupContext:
         self._deg_offsets = [0]
         for size in self._deg_sizes:
             self._deg_offsets.append(self._deg_offsets[-1] + size)
-        self._basis_series = []
+        basis_series = []
         for b in self.basis:
-            self._basis_series.append(self._series_of_basis(b))
+            basis_series.append(self._series_of_basis(b, basis_series))
         # each basis factor b as the sparse triples of the nonzero powers of
         # b - 1; a light factor (2 * weight > s) keeps b - 1 alone
-        self._bterms = [_unit_powers(self, ser) for ser in self._basis_series]
+        self._bterms = [_unit_powers(self, ser) for ser in basis_series]
         # the degree-w block of a weight-w basis series is its Hall
         # polynomial; restricted to the Lyndon-word entries these form a
         # square integer matrix of det +-1 (Chen-Fox-Lyndon; Reutenauer,
@@ -197,7 +197,7 @@ class GroupContext:
         for w in range(1, s + 1):
             lo, hi = self._weight_ranges[w]
             lyndon = _lyndon_positions(rank, w)
-            blocks = [self._basis_series[i][w] for i in range(lo, hi)]
+            blocks = [basis_series[i][w] for i in range(lo, hi)]
             minor = IntMatrix([[blk[p] for blk in blocks] for p in lyndon])
             polys = [[(p, v) for p, v in enumerate(blk) if v] for blk in blocks]
             self._solvers[w] = (lyndon, minor.inverse_unimodular().rows, polys)
@@ -216,13 +216,14 @@ class GroupContext:
             raise InputError("weight %r out of range 1..%d" % (w, self.nilpotency_class))
         return self._weight_ranges[w]
 
-    def _series_of_basis(self, b: HallBasisElement):
+    def _series_of_basis(self, b: HallBasisElement, basis_series):
+        # basis_series holds the series of every basis element before b
         if not isinstance(b.shape, tuple):
             ser = _unit_series(self)
             ser[1][b.shape] = 1
             return ser
-        left = self._basis_series[b.shape[0]]
-        right = self._basis_series[b.shape[1]]
+        left = basis_series[b.shape[0]]
+        right = basis_series[b.shape[1]]
         return _series_comm(self, left, right)
 
     def __eq__(self, other):

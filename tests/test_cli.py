@@ -65,6 +65,13 @@ def test_bad_m_range_format():
     assert exc.value.code == 2
 
 
+def test_negative_m_range_in_equals_form(tmp_path, capsys):
+    # "--m-range -10:10" reads -10:10 as an option; the = form does not
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "--suite", "eq-2", "--m-range=-10:10", "--report", str(path)]) == 0
+    assert json.loads(path.read_text())["config"]["m_range"] == [-10, 10]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suite": "ring-Z", "trials": 3, "seed": 4}))

@@ -1,12 +1,12 @@
 import ast
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
 from nilaut import glz
-from nilaut.errors import DomainError, InputError, InternalError
+from nilaut.errors import DomainError, InputError, InternalError, SearchExhausted
 from nilaut.glz import (
     WALK_CERT_MODULUS,
     noncentral_walk_certificate,
@@ -25,7 +25,6 @@ from nilaut.glz import (
     is_direct_summand,
     kernel_basis,
     noncentral_sigma_walk,
-    noncentral_successor,
     order3_falsifier,
     random_unimodular,
     relation_R,
@@ -261,27 +260,77 @@ def test_xy_linearity_tracked_entry():
                 assert vals[1] - vals[0] != 0
 
 
-def test_noncentral_successor_examples():
-    rec = noncentral_successor(SWAP_REP, "X", "even")
+def _both_walks(s0, steps, parity="even", m_range=(-5, 5)):
+    # the exact and the certificate walk make the same choices, and the
+    # certificate's matrices are the exact ones reduced mod p
+    mats, recs = noncentral_sigma_walk(s0, steps, parity, m_range)
+    cert_mats, cert_recs = noncentral_walk_certificate(s0, steps, parity, m_range)
+    p = WALK_CERT_MODULUS
+    for er, cr in zip(recs, cert_recs, strict=True):
+        assert (er.m, er.parity, er.orientation, er.mode) == (cr.m, cr.parity, cr.orientation, cr.mode)
+        assert cr.matrix == IntMatrix([[x % p for x in row] for row in er.matrix.rows])
+    assert mats == [r.matrix for r in recs] and cert_mats == [r.matrix for r in cert_recs]
+    return recs
+
+
+def test_walk_step_examples():
+    (rec,) = _both_walks(SWAP_REP, 1)
     assert rec.m == 1 and rec.matrix == M((-1, 2), (-2, 3))
-    rec = noncentral_successor(M((1, 1), (0, 1)), "X", "even")
-    assert not rec.matrix.is_central()
-    assert rec.m == 1
-    rec = noncentral_successor(M((-1, 2), (-2, 3)), "X", "even")
-    assert not rec.matrix.is_central()
-    with pytest.raises(DomainError):
-        noncentral_successor(IntMatrix.identity(2), "X", "even")
+    for walk in (noncentral_sigma_walk, noncentral_walk_certificate):
+        for s0 in (IntMatrix.identity(2), -IntMatrix.identity(2)):
+            with pytest.raises(DomainError, match="walk seed must be non-central"):
+                walk(s0, 1)
+        with pytest.raises(DomainError, match="determinant"):
+            walk(M((2, 1), (1, 1)) @ M((2, 0), (0, 1)), 1)
+        with pytest.raises(InputError):
+            walk(IntMatrix.identity(3), 1)
+        with pytest.raises(InputError, match="parity"):
+            walk(SWAP_REP, 1, "neither")
 
 
-def test_noncentral_successor_degenerate_lower_unipotent():
-    # the lower families are constant on +-unipotent lower-triangular input;
-    # the mirrored family provides the successor
-    rec = noncentral_successor(M((1, 0), (3, 1)), "X", "even")
-    assert not rec.matrix.is_central()
-    assert rec.orientation == "upper"
-    rec = noncentral_successor(M((1, 0), (3, 1)), "Y", "even")
-    assert not rec.matrix.is_central()
-    assert rec.orientation == "lower"
+def test_walk_step_degenerate_lower_unipotent():
+    # the lower families are constant on +-unipotent lower-triangular input
+    # in mode X; the mirrored family provides that successor.  A Y step on
+    # such input stays on the lower family
+    (rec,) = _both_walks(M((1, 0), (3, 1)), 1)
+    assert (rec.mode, rec.orientation) == ("Y", "lower")
+    first, second = _both_walks(M((-1, 0), (-3, -1)), 2)
+    assert (first.mode, first.orientation, first.matrix) == ("Y", "lower", M((1, 0), (-6, 1)))
+    assert (second.mode, second.orientation, second.m) == ("X", "upper", 1)
+    assert second.matrix == M((133, -24), (-72, 13))
+
+
+def test_walk_search_exhausted_messages():
+    # with m = 0 only, the X step from (1 -2; 0 1) is central in both families
+    s0 = M((1, 1), (0, 1))
+    with pytest.raises(SearchExhausted) as exc:
+        noncentral_sigma_walk(s0, 2, "even", (0, 0))
+    assert str(exc.value) == "no non-central successor for ((1, -2), (0, 1)) within m range ((0, 0),)"
+    with pytest.raises(SearchExhausted) as exc:
+        noncentral_walk_certificate(s0, 2, "even", (0, 0))
+    assert str(exc.value) == "no certified non-central successor at step 1"
+
+
+def test_search_order_is_lazy():
+    def reference(lo, hi):
+        return sorted(range(lo, hi + 1), key=lambda m: (abs(m), m < 0))
+
+    for lo, hi in product(range(-7, 8), repeat=2):
+        assert list(glz._search_order(lo, hi)) == reference(lo, hi), (lo, hi)
+    wide = (-(10**12), 10**12)
+    assert list(islice(glz._search_order(*wide), 5)) == [0, 1, -1, 2, -2]
+    # a walk that chooses within |m| <= 5 on the lower family chooses the
+    # same over any wider range, since the order starts the same way
+    for s0, parity in (
+        (SWAP_REP, "even"),
+        (M((1, 1), (0, 1)), "even"),
+        (M((1, 2), (1, 3)), "even"),
+        (M((2, 1), (1, 1)), "odd"),
+        (M((2, 3), (1, 2)), "odd"),
+    ):
+        recs = _both_walks(s0, 6, parity)
+        assert all(r.orientation == "lower" for r in recs)
+        assert _both_walks(s0, 6, parity, wide) == recs
 
 
 def test_walk():

@@ -332,7 +332,8 @@ def test_largest_lyndon_minors_invert(n, s):
     for w in range(1, s + 1):
         lo, hi = ctx.weight_range(w)
         lyndon, inv_rows, _ = ctx._solvers[w]
-        minor = IntMatrix([[ctx._basis_series[i][w][p] for i in range(lo, hi)] for p in lyndon])
+        blocks = [basis_element(ctx, i)._series[w] for i in range(lo, hi)]
+        minor = IntMatrix([[blk[p] for blk in blocks] for p in lyndon])
         inv = IntMatrix(inv_rows)
         assert (minor @ inv).is_identity() and (inv @ minor).is_identity()
     rng = random.Random(n * 10 + s)
