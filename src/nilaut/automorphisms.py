@@ -12,7 +12,7 @@ group element x is g -> x g x^-1.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import DomainError, InputError, InternalError
 from .glz import IntMatrix
@@ -68,7 +68,10 @@ class Endomorphism:
     blocks, and for d >= 1 the top degree, are added as they are.
     `invert_automorphism` scatters through the same images; `_cols` holds
     the nonzero (index, value) pairs of the abelianized images f(x_j), once
-    `apply` first needs them at depth 0.
+    `apply` first needs them at depth 0.  When the abelianization A is -I,
+    as for every symmetry and its conjugates, it holds the sign (-1)^s
+    instead: the top block of an image is then (-1)^s times the input's,
+    added as one slice.
     """
 
     __slots__ = ("context", "images", "_mon_images", "_cols", "_depth", "_inverse")
@@ -174,10 +177,13 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
     does not depend on the representing word.  Each monomial of degree
     below s scatters its cached image pairs into one flat series, except
     that for f in K_d the blocks of degree above s - d are added as they
-    are.  For d >= 1 so is the top degree.  At depth 0 the degree-s
-    monomials w x_1 .. w x_n of one w share the degree-(s-1) part of the
-    image of w, which is multiplied once by the sum of their coefficients
-    times the abelianized columns of f(x_1) .. f(x_n).
+    are.  For d >= 1 so is the top degree.  At depth 0 the top block is
+    A^(x)s applied to the input's, for A the abelianized matrix.  For
+    A = -I that is (-1)^s times the input's top block, added as one slice.
+    Otherwise the degree-s monomials w x_1 .. w x_n of one w share the
+    degree-(s-1) part of the image of w, which is multiplied once by the
+    sum of their coefficients times the abelianized columns of f(x_1) ..
+    f(x_n).
     """
     ctx = f.context
     if g.context != ctx:
@@ -190,14 +196,21 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
     out[0] = 1
     for deg in range(1, s):
         f._scatter(out, deg, src[deg])
-    if _filtration_depth(f):
+    depth = _filtration_depth(f)
+    if not depth and f._cols is None:
+        cols = [[(i, v) for i, v in enumerate(abelianization(img)) if v] for img in f.images]
+        # A = -I (A = I would put f in K_1) makes A^(x)s the scalar (-1)^s
+        if all(terms == [(j, -1)] for j, terms in enumerate(cols)):
+            cols = (-1) ** s
+        f._cols = cols
+    cols = f._cols
+    top_lo = offsets[s]
+    if depth:
         # in K_1 the abelianized columns are the identity
         f._scatter(out, s, src[s])
+    elif type(cols) is int:
+        out[top_lo:] = map(add if cols > 0 else sub, out[top_lo:], src[s])
     else:
-        if f._cols is None:
-            f._cols = [[(i, v) for i, v in enumerate(abelianization(img)) if v] for img in f.images]
-        cols = f._cols
-        top_lo = offsets[s]
         key = offsets[s - 1]
         # the coefficients of w x_1 .. w x_n, for each w of degree s - 1 in turn
         for row in zip(*[iter(src[s])] * rank):

@@ -537,8 +537,9 @@ def _walk(s0: IntMatrix, steps: int, parity: str, m_range, p):
     before upper and m in the order of `_search_order`, whose output is
     not central; the upper mirror family (same conjugacy class) serves
     when the lower one degenerates, which happens exactly for
-    +-unipotent lower-triangular inputs.  S^-1 is det S times the
-    adjugate, exact for det +-1; every term after the seed has det 1.
+    +-unipotent lower-triangular inputs in mode X, so there it is tried
+    alone.  S^-1 is det S times the adjugate, exact for det +-1; every
+    term after the seed has det 1.
     """
     if s0.nrows != 2 or s0.ncols != 2:
         raise InputError("walk expects a 2x2 matrix")
@@ -554,7 +555,11 @@ def _walk(s0: IntMatrix, steps: int, parity: str, m_range, p):
     for k in range(steps):
         (a, b), (c, d) = cur
         second = cur if k % 2 else ((det * d, -det * b), (-det * c, det * a))
-        family = ((o, m) for o in ("lower", "upper") for m in _search_order(*m_range))
+        # for S = (a 0; c a) and every lower J = (1 0; t -1), J S J = (a 0; -c a)
+        # = adj S, so the X candidate J S J S = det S * I is central, exactly
+        # and mod p: skip straight to the upper family
+        skip = k % 2 and b == 0 and a == d
+        family = ((o, m) for o in ("lower", "upper")[skip:] for m in _search_order(*m_range))
         for orientation, m in family:
             j = _family_rows(parity, m, orientation)
             cand = _mul2(_mul2(_mul2(j, cur, p), j, p), second, p)

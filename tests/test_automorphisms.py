@@ -159,6 +159,26 @@ def test_apply_matches_dense_substitution(rank, nil_class):
         assert all(_degree_of(ctx, pos) <= min(s - 1, s - depth) for pos in f._mon_images)
 
 
+@pytest.mark.parametrize("rank,nil_class", [(2, 4), (4, 4), (2, 5), (3, 5)])
+def test_apply_of_minus_identity_maps_matches_dense_substitution(rank, nil_class):
+    # a map with abelianization -I adds (-1)^s times the top block as one
+    # slice, +1 at class 4 and -1 at class 5; a mixed-sign diagonal keeps
+    # the row-by-row top degree
+    ctx = GroupContext.get(rank, nil_class)
+    s = nil_class
+    rng = random.Random(7 * rank + nil_class)
+    minus = symmetry_sample(ctx, rng, conjugates=2, perturbed=2)
+    assert minus[0] == canonical_symmetry(ctx)
+    diag = [[(i == j) - 2 * (i == j == 0) for j in range(rank)] for i in range(rank)]
+    mixed = lift_matrix(ctx, IntMatrix(diag))
+    for f in minus + [mixed]:
+        for _ in range(2):
+            g = random_element(ctx, rng, bound=2)
+            assert apply(f, g)._series == _dense_apply(f, g)
+        assert k_depth(f) == 0
+        assert f._cols == ((-1) ** s if f is not mixed else [[(0, -1)]] + [[(j, 1)] for j in range(1, rank)])
+
+
 def test_compose_examples():
     theta = canonical_symmetry(CTX22)
     assert compose(theta, theta) == identity_endomorphism(CTX22)

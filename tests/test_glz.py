@@ -300,6 +300,72 @@ def test_walk_step_degenerate_lower_unipotent():
     assert second.matrix == M((133, -24), (-72, 13))
 
 
+def test_walk_skips_a_central_lower_family(monkeypatch):
+    # the X step from (1 0; -6 1) finds every lower member central; it is
+    # decided without scanning the range, so a wide range costs what +-5 does
+    calls = []
+    rows = glz._family_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(glz, "_family_rows", counted)
+    s0 = M((-1, 0), (-3, -1))
+    for walk in (noncentral_sigma_walk, noncentral_walk_certificate):
+        counts = []
+        for m_range in ((-5, 5), (-200000, 200000)):
+            calls.clear()
+            _, recs = walk(s0, 2, "even", m_range)
+            assert [(r.m, r.orientation, r.mode) for r in recs] == [(0, "lower", "Y"), (1, "upper", "X")]
+            counts.append(len(calls))
+        assert counts == [3, 3]
+
+
+def _scanned_walk(s0, steps, parity, m_range):
+    # reference: every family member in search order, lower before upper,
+    # by IntMatrix products; None in place of the records when a step
+    # finds no non-central candidate
+    ms = sorted(range(m_range[0], m_range[1] + 1), key=lambda m: (abs(m), m < 0))
+    cur, recs = s0, []
+    for k in range(steps):
+        second = cur if k % 2 else cur.inverse_unimodular()
+        found = None
+        for orientation in ("lower", "upper"):
+            for m in ms:
+                t = 2 * m if parity == "even" else 2 * m - 1
+                j = M((1, 0), (t, -1)) if orientation == "lower" else M((1, t), (0, -1))
+                cand = j @ cur @ j @ second
+                if not cand.is_central():
+                    found = (m, orientation, "X" if k % 2 else "Y", cand)
+                    break
+            if found:
+                break
+        if found is None:
+            return None
+        recs.append(found)
+        cur = found[3]
+    return recs
+
+
+def test_walk_on_unipotent_lower_seeds_matches_a_full_scan():
+    # each Y step from +-(1 0; t 1) gives (1 0; -2t 1), whose X step skips
+    # the lower family
+    for t, sign, parity, m_range in product(
+        (-2, -1, 1, 3), (1, -1), ("even", "odd"), ((-3, 3), (1, 3), (-2, 0), (0, 0))
+    ):
+        s0 = M((sign, 0), (sign * t, sign))
+        ref = _scanned_walk(s0, 3, parity, m_range)
+        if ref is None:
+            for walk in (noncentral_sigma_walk, noncentral_walk_certificate):
+                with pytest.raises(SearchExhausted):
+                    walk(s0, 3, parity, m_range)
+            continue
+        recs = _both_walks(s0, 3, parity, m_range)
+        assert [(r.m, r.orientation, r.mode, r.matrix) for r in recs] == ref
+        assert recs[1].orientation == "upper"
+
+
 def test_walk_search_exhausted_messages():
     # with m = 0 only, the X step from (1 -2; 0 1) is central in both families
     s0 = M((1, 1), (0, 1))

@@ -37,6 +37,7 @@ TRIALS_AT = {
     ("group-axioms", 3, 5): 20,
     ("lemma-2.2", 2, 5): 3,
     ("one-step-down", 2, 4): 5,
+    ("one-step-down", 3, 4): 4,
     ("proposition-sigma", 2, 4): 3,
 }
 
@@ -55,6 +56,7 @@ CONFIGS = [(suite, 3, 3) for suite in SUITE_NAMES] + [
     ("group-axioms", 3, 5),
     ("lemma-2.2", 2, 5),
     ("one-step-down", 2, 4),
+    ("one-step-down", 3, 4),
     ("proposition-sigma", 2, 4),
     # the call the `matrices` workload of perfbench times
     ("interp-M", 3, 2),
@@ -81,6 +83,7 @@ DIGESTS = {
     "group-axioms (3,5)": "bbc5f99c5b6da4ef4a15486cc3893e9d5fe751b51aee85b5be3f8410408ba606",
     "lemma-2.2 (2,5)": "44ae7db10a3597fc597a527445c70d261621891bdc2c034a8f4fa8ad58a3fa7b",
     "one-step-down (2,4)": "fb87f440bb08d4d8db0013614e71ec6b871af3499e11bf6fa3bbd405748c82de",
+    "one-step-down (3,4)": "0f2be81f40a79c67246596bf2974391fc1f5ac3ece51643c7040d4f6831b7567",
     "proposition-sigma (2,4)": "7f1adc2e8b8bd535ee985e03a3f7cea52b6c935d47cfbb89e6ba78e925f2b8d3",
     "interp-M (3,2)": "cf454362d8b0b58798da82a01ea874c8ce5d080ad7c7db28225721d71f36c5d0",
     "interp-M (4,2)": "992d3a9a7c64ee3a4bdeeb02b0be5ce2abdcc16b1864ecdf928914a77da66775",
