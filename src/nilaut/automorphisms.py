@@ -57,21 +57,19 @@ class Endomorphism:
     needs the image of every monomial.  Series are laid out flat, degree by
     degree (`GroupContext._deg_offsets`), and `_mon_images` maps the flat
     position of a monomial to the nonzero entries of its image, as
-    (flat position, value) pairs in position order.  Valuations add, so the
-    image of a degree-s monomial w x_j is the degree-(s-1) part of the
-    image of w times the degree-1 block of f(x_j), and `apply` forms that
-    product as it goes: the top degree holds most monomials, and most maps
-    are applied to a few elements only, so storing it would cost memory and
-    save no work.  `_depth` caches `k_depth(f)`, read off the series of the
-    images of f on first need.  When f lies in K_d, every monomial of
-    degree above s - d maps to itself, so no image is stored for it: those
-    blocks, and for d >= 1 the top degree, are added as they are.
-    `invert_automorphism` scatters through the same images; `_cols` holds
-    the nonzero (index, value) pairs of the abelianized images f(x_j), once
-    `apply` first needs them at depth 0.  When the abelianization A is -I,
-    as for every symmetry and its conjugates, it holds the sign (-1)^s
-    instead: the top block of an image is then (-1)^s times the input's,
-    added as one slice.
+    (flat position, value) pairs in position order.  Only monomials of
+    degree below s have images: valuations add, so the top block of an
+    image is A^(x)s applied to the input's, for A the abelianized matrix,
+    and `apply` forms it one tensor factor at a time, as
+    `invert_automorphism` does for A^-1.  `_depth` caches `k_depth(f)`,
+    read off the series of the images of f on first need.  When f lies in
+    K_d, every monomial of degree above s - d maps to itself, so no image
+    is stored for it: those blocks, and for d >= 1 the top degree, are
+    added as they are.  `invert_automorphism` scatters through the same
+    images.  `_cols` holds the rows of A once `apply` first needs them at
+    depth 0; when A is -I, as for every symmetry and its conjugates, it
+    holds the sign (-1)^s instead, and the top block of an image is (-1)^s
+    times the input's, added as one slice.
     """
 
     __slots__ = ("context", "images", "_mon_images", "_cols", "_depth", "_inverse")
@@ -178,60 +176,34 @@ def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
     below s scatters its cached image pairs into one flat series, except
     that for f in K_d the blocks of degree above s - d are added as they
     are.  For d >= 1 so is the top degree.  At depth 0 the top block is
-    A^(x)s applied to the input's, for A the abelianized matrix.  For
-    A = -I that is (-1)^s times the input's top block, added as one slice.
-    Otherwise the degree-s monomials w x_1 .. w x_n of one w share the
-    degree-(s-1) part of the image of w, which is multiplied once by the
-    sum of their coefficients times the abelianized columns of f(x_1) ..
-    f(x_n).
+    A^(x)s applied to the input's, for A the abelianized matrix: one
+    tensor factor at a time, or for A = -I the input's top block times
+    (-1)^s, added as one slice.
     """
     ctx = f.context
     if g.context != ctx:
         raise InputError("element context does not match endomorphism context")
     src = g._series
     s = ctx.nilpotency_class
-    rank = ctx.rank
     offsets = ctx._deg_offsets
     out = [0] * offsets[-1]
     out[0] = 1
     for deg in range(1, s):
         f._scatter(out, deg, src[deg])
-    depth = _filtration_depth(f)
-    if not depth and f._cols is None:
-        cols = [[(i, v) for i, v in enumerate(abelianization(img)) if v] for img in f.images]
-        # A = -I (A = I would put f in K_1) makes A^(x)s the scalar (-1)^s
-        if all(terms == [(j, -1)] for j, terms in enumerate(cols)):
-            cols = (-1) ** s
-        f._cols = cols
-    cols = f._cols
     top_lo = offsets[s]
-    if depth:
-        # in K_1 the abelianized columns are the identity
+    if _filtration_depth(f):
+        # in K_1 the abelianized matrix is the identity
         f._scatter(out, s, src[s])
-    elif type(cols) is int:
-        out[top_lo:] = map(add if cols > 0 else sub, out[top_lo:], src[s])
     else:
-        key = offsets[s - 1]
-        # the coefficients of w x_1 .. w x_n, for each w of degree s - 1 in turn
-        for row in zip(*[iter(src[s])] * rank):
-            if any(row):
-                col = [0] * rank
-                for c, terms in zip(row, cols):
-                    if c:
-                        for i, v in terms:
-                            col[i] += c * v
-                terms = [(i + 1, v) for i, v in enumerate(col) if v]
-                if terms:
-                    img = f._mon_images.get(key)
-                    if img is None:
-                        img = f._monomial_image(key)
-                    for p, a in img:
-                        if p >= top_lo:
-                            break
-                        base = p * rank
-                        for q, v in terms:
-                            out[base + q] += a * v
-            key += 1
+        if f._cols is None:
+            mat = abelianization_matrix(f)
+            # A = -I (A = I would put f in K_1) makes A^(x)s the scalar (-1)^s
+            f._cols = (-1) ** s if (-mat).is_identity() else mat.rows
+        rows = f._cols
+        if type(rows) is int:
+            out[top_lo:] = map(add if rows > 0 else sub, out[top_lo:], src[s])
+        else:
+            out[top_lo:] = map(add, out[top_lo:], _tensor_power(rows, src[s], s))
     return _from_series(ctx, [out[offsets[d] : offsets[d + 1]] for d in range(s + 1)])
 
 

@@ -218,17 +218,22 @@ def _first_failure(cases):
     return count, witness
 
 
-def _check(cfg, rec, label, trials, trial_fn, name, statement, certificate=None):
-    """Record one check that runs trial_fn(rng, t) for t in range(trials).
+def _check(rec, name, statement, cases, trials=None, certificate=None):
+    """Record one check over a lazy iterable of cases (see `_first_failure`).
 
-    Each trial draws its own generator from (seed, suite, label, t); the
-    first trial that returns a witness (not None) fails the check and ends
-    the loop.  The recorded trial count is the number of trials run.
+    The first witness fails the check and ends the run.  The recorded trial
+    count is the number of cases run, unless `trials` gives it.
     """
-    count, witness = _first_failure(
-        trial_fn(_trial_rng(cfg.seed, cfg.suite, label, t), t) for t in range(trials)
-    )
-    rec.add(name, statement, witness is None, count, witness=witness, certificate=certificate)
+    count, witness = _first_failure(cases)
+    if trials is None:
+        trials = count
+    rec.add(name, statement, witness is None, trials, witness=witness, certificate=certificate)
+
+
+def _trials(cfg, label, trials, trial_fn):
+    # the cases trial_fn(rng, t) for t in range(trials), each trial with its
+    # own generator from (seed, suite, label, t)
+    return (trial_fn(_trial_rng(cfg.seed, cfg.suite, label, t), t) for t in range(trials))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +259,9 @@ def _suite_group_axioms(cfg, rec):
             return {"trial": t, "a": a, "b": b, "c": c}
 
     _check(
-        cfg, rec, "axioms", cfg.trials, axioms,
-        "axioms",
+        rec, "axioms",
         "associativity, two-sided inverses and identity hold exactly in collected coordinates",
+        _trials(cfg, "axioms", cfg.trials, axioms),
     )
 
     def filtration(rng, t):
@@ -274,9 +279,9 @@ def _suite_group_axioms(cfg, rec):
             return {"trial": t, "g": g, "h": h, "z": z}
 
     _check(
-        cfg, rec, "filtration", cfg.trials, filtration,
-        "filtration",
+        rec, "filtration",
         "weights are subadditive, brackets add weights up to the class, and the top layer is central",
+        _trials(cfg, "filtration", cfg.trials, filtration),
     )
 
     if s == 2:
@@ -292,9 +297,9 @@ def _suite_group_axioms(cfg, rec):
                 return {"trial": t, "a": a, "b": b}
 
         _check(
-            cfg, rec, "class2", cfg.trials, class2,
-            "class2-closed-form",
+            rec, "class2-closed-form",
             "the series product and the closed-form class-2 product rule agree bit for bit",
+            _trials(cfg, "class2", cfg.trials, class2),
         )
 
     def projection(rng, t):
@@ -306,9 +311,9 @@ def _suite_group_axioms(cfg, rec):
                 return {"trial": t, "m": m, "a": a, "b": b}
 
     _check(
-        cfg, rec, "projection", min(cfg.trials, 200), projection,
-        "projection-homomorphism",
+        rec, "projection-homomorphism",
         "truncation to each smaller class is a group homomorphism",
+        _trials(cfg, "projection", min(cfg.trials, 200), projection),
     )
 
     def collect_homomorphism(rng, t):
@@ -318,9 +323,9 @@ def _suite_group_axioms(cfg, rec):
             return {"trial": t, "w1": w1, "w2": w2}
 
     _check(
-        cfg, rec, "collect", min(cfg.trials, 100), collect_homomorphism,
-        "collect-homomorphism",
+        rec, "collect-homomorphism",
         "word collection sends concatenation to the collected product",
+        _trials(cfg, "collect", min(cfg.trials, 100), collect_homomorphism),
     )
 
 
@@ -348,10 +353,10 @@ def _suite_lemma_22(cfg, rec):
                 return {"trial": t, "theta": theta, "c": c}
 
         _check(
-            cfg, rec, "layer-m%d" % m, cfg.trials, layer,
-            "layer-parity-m%d" % m,
+            rec, "layer-parity-m%d" % m,
             "a symmetry fixes weight-%d elements modulo the next layer when %d is even and inverts them when odd"
             % (m, m),
+            _trials(cfg, "layer-m%d" % m, cfg.trials, layer),
         )
 
     for m in range(1, s + 1):
@@ -370,10 +375,10 @@ def _suite_lemma_22(cfg, rec):
                 return {"trial": t, "theta": theta, "gamma": gamma}
 
         _check(
-            cfg, rec, "kernel-m%d" % m, cfg.trials, kernel,
-            "kernel-parity-m%d" % m,
+            rec, "kernel-parity-m%d" % m,
             "conjugation by a symmetry fixes K_%d modulo K_%d when %d is even and inverts it when odd"
             % (m, m + 1, m),
+            _trials(cfg, "kernel-m%d" % m, cfg.trials, kernel),
         )
 
 
@@ -391,10 +396,10 @@ def _suite_lemma_21(cfg, rec):
                 return {"trial": t, "gamma": gamma, "delta": delta}
 
         _check(
-            cfg, rec, "m%d" % m, cfg.trials, commutes,
-            "ia-commutes-k%d" % m,
+            rec, "ia-commutes-k%d" % m,
             "commutators of abelianization-trivial automorphisms with K_%d members land in K_%d"
             % (m, m + 1),
+            _trials(cfg, "m%d" % m, cfg.trials, commutes),
         )
 
 
@@ -485,13 +490,10 @@ def _suite_proposition_sigma(cfg, rec):
                     certified = wit is not None and not wit.final_abelianization.is_identity()
                     yield None if certified else {"class": base_name, "index": i, "theta": theta}
 
-        count, witness = _first_failure(catalogue())
-        rec.add(
-            "converse-witnesses",
+        _check(
+            rec, "converse-witnesses",
             "every catalogued non-symmetry involution admits a recursion instance whose final term is certified non-trivial by its abelianization",
-            witness is None,
-            count,
-            witness=witness,
+            catalogue(),
         )
 
         if s == 2:
@@ -517,16 +519,14 @@ def _suite_proposition_sigma(cfg, rec):
         sym_pool = [canonical_symmetry(ctx)] + [
             conjugated_symmetry(ctx, rng_sym) for _ in range(4)
         ]
-        _, witness = _first_failure(
-            None if find_nontrivial_witness(theta, cfg.m_range) is None else {"index": i, "theta": theta}
-            for i, theta in enumerate(sym_pool)
-        )
-        rec.add(
-            "no-witness-for-symmetries",
+        _check(
+            rec, "no-witness-for-symmetries",
             "the witness search returns nothing for exact symmetries and their conjugates",
-            witness is None,
-            len(sym_pool),
-            witness=witness,
+            (
+                None if find_nontrivial_witness(theta, cfg.m_range) is None else {"index": i, "theta": theta}
+                for i, theta in enumerate(sym_pool)
+            ),
+            trials=len(sym_pool),
         )
 
 
@@ -539,22 +539,21 @@ def _suite_eq2(cfg, rec):
         if not (cls is want and p @ rep @ p.inverse_unimodular() == mat):
             return {"m": m, "parity": parity, "matrix": mat}
 
-    count, witness = _first_failure(
-        family(m, parity, rep, want)
-        for m in range(lo, hi + 1)
-        for parity, rep, want in (
-            ("even", DIAG_REP, InvolutionClass.DIAGONAL),
-            ("odd", SWAP_REP, InvolutionClass.SWAP),
-        )
-    )
-    rec.add(
-        "family-conjugacy",
+    _check(
+        rec, "family-conjugacy",
         "the lower-unipotent involution families are conjugate to the diagonal and swap representatives, with explicit conjugators",
-        witness is None,
-        count,
-        certificate={"identities_verified": count},
-        witness=witness,
+        (
+            family(m, parity, rep, want)
+            for m in range(lo, hi + 1)
+            for parity, rep, want in (
+                ("even", DIAG_REP, InvolutionClass.DIAGONAL),
+                ("odd", SWAP_REP, InvolutionClass.SWAP),
+            )
+        ),
     )
+    # each case run verified one identity
+    check = rec.checks[-1]
+    check["certificate"] = {"identities_verified": check["trials"]}
 
     def roundtrip(rng, t):
         rep = DIAG_REP if rng.random() < 0.5 else SWAP_REP
@@ -569,9 +568,9 @@ def _suite_eq2(cfg, rec):
             return {"trial": t, "matrix": mat}
 
     _check(
-        cfg, rec, "roundtrip", cfg.trials, roundtrip,
-        "classification-roundtrip",
+        rec, "classification-roundtrip",
         "classifying a conjugated representative returns its class and a conjugator that reproduces the input exactly",
+        _trials(cfg, "roundtrip", cfg.trials, roundtrip),
     )
 
 
@@ -610,9 +609,9 @@ def _suite_xy_linearity(cfg, rec):
                     entry_stats[mode][pos] += 1
 
     _check(
-        cfg, rec, "linearity", cfg.trials, linearity,
-        "tracked-entry-linear",
+        rec, "tracked-entry-linear",
         "the upper-right entry of both parametrized products is linear and non-constant over consecutive parameters",
+        _trials(cfg, "linearity", cfg.trials, linearity),
         certificate={"linear_entry_counts_row_major": entry_stats},
     )
 
@@ -639,9 +638,9 @@ def _suite_walk(cfg, rec):
                     return {"trial": t, "seed_matrix": s0, "mismatch": "residues"}
 
     _check(
-        cfg, rec, "seed", cfg.trials, walk,
-        "noncentral-walks",
+        rec, "noncentral-walks",
         "fifty-step recursion walks stay non-central: every term is certified by a non-central residue image, and exact prefixes agree",
+        _trials(cfg, "seed", cfg.trials, walk),
         certificate={"steps": 50, "modulus_bits": glz.WALK_CERT_MODULUS.bit_length()},
     )
 
@@ -660,9 +659,9 @@ def _suite_one_step_down(cfg, rec):
             return {"trial": t, "f": f, "tag": tag}
 
     _check(
-        cfg, rec, "forward", cfg.trials, forward,
-        "forward-containment",
+        rec, "forward-containment",
         "every nontrivial member of the next-to-last kernel layer is fixed (class parity even) or inverted (odd) by all sampled symmetries modulo the trivial-abelianization factor, per stratum",
+        _trials(cfg, "forward", cfg.trials, forward),
     )
 
     reverse_stats = {"classified": 0}
@@ -679,9 +678,9 @@ def _suite_one_step_down(cfg, rec):
                 return {"trial": t, "f": f, "tag": tag}
 
     _check(
-        cfg, rec, "reverse", cfg.trials, reverse,
-        "reverse-containment",
+        rec, "reverse-containment",
         "every sampled automorphism classified as commuting or inverting lies in the next-to-last kernel layer",
+        _trials(cfg, "reverse", cfg.trials, reverse),
         certificate=reverse_stats,
     )
 
@@ -697,9 +696,9 @@ def _suite_one_step_down(cfg, rec):
             return {"trial": t, "f": f}
 
     _check(
-        cfg, rec, "pairs", min(cfg.trials, 50), pairs,
-        "two-symmetry-products-commute",
+        rec, "two-symmetry-products-commute",
         "products of two sampled symmetries commute exactly with next-to-last layer members",
+        _trials(cfg, "pairs", min(cfg.trials, 50), pairs),
     )
 
     def factorization(n, cls, j):
@@ -716,15 +715,10 @@ def _suite_one_step_down(cfg, rec):
         if not ok:
             return {"rank": n, "class": cls, "generator": j}
 
-    count, witness = _first_failure(
-        factorization(n, cls, j) for n in (2, 3, 4) for cls in (2, 3) for j in range(1, n + 1)
-    )
-    rec.add(
-        "two-symmetry-factorization",
+    _check(
+        rec, "two-symmetry-factorization",
         "conjugation by each generator factors exactly as the product of the canonical symmetry and the adapted symmetry",
-        witness is None,
-        count,
-        witness=witness,
+        (factorization(n, cls, j) for n in (2, 3, 4) for cls in (2, 3) for j in range(1, n + 1)),
     )
 
 
@@ -741,15 +735,10 @@ def _suite_interp_m(cfg, rec):
         if not ok:
             return {"basis": [a, b]}
 
-    count, witness = _first_failure(
-        summand(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)
-    )
-    rec.add(
-        "summand-brute-force",
+    _check(
+        rec, "summand-brute-force",
         "the elementary-divisor summand test matches exhaustive search for an integral complementary vector on small rank-1 sublattices",
-        witness is None,
-        count,
-        witness=witness,
+        (summand(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)),
     )
 
     rng = _trial_rng(cfg.seed, cfg.suite, "structure")
@@ -794,19 +783,15 @@ def _suite_interp_m(cfg, rec):
         if element_order(wit["a"] @ wit["b"]) != 3:
             return {"catalog": "swap", "index": i, "matrix": f}
 
-    # the swap catalogue runs only after every diagonal matrix passed
-    _, witness = _first_failure(
+    _check(
+        rec, "diagonalizability-vs-order3",
+        "diagonalizable involutions yield no order-3 product of class conjugates within budget, while the swap class always yields a witness",
+        # the swap catalogue runs only after every diagonal matrix passed
         chain(
             (diagonal(i, f) for i, f in enumerate(diag_catalog)),
             (swap(i, f) for i, f in enumerate(swap_catalog)),
-        )
-    )
-    rec.add(
-        "diagonalizability-vs-order3",
-        "diagonalizable involutions yield no order-3 product of class conjugates within budget, while the swap class always yields a witness",
-        witness is None,
-        cfg.trials,
-        witness=witness,
+        ),
+        trials=cfg.trials,
         certificate={"diag_catalog": len(diag_catalog), "swap_catalog": len(swap_catalog)},
     )
 
@@ -835,19 +820,15 @@ def _suite_ring_z(cfg, rec):
             return {"op": "distributivity", "x": x, "y": y, "z": z}
 
     rng = _trial_rng(cfg.seed, cfg.suite, "distributivity")
-    _, witness = _first_failure(
+    _check(
+        rec, "ring-arithmetic",
+        "the matrix encoding of the integers reproduces native addition and multiplication on the full test square, with distributivity spot checks",
         chain(
             (arithmetic(a, c) for a in square for c in square),
             map(roundtrip, square),
             (distributivity(rng) for _ in range(100)),
-        )
-    )
-    rec.add(
-        "ring-arithmetic",
-        "the matrix encoding of the integers reproduces native addition and multiplication on the full test square, with distributivity spot checks",
-        witness is None,
-        (2 * b + 1) ** 2,
-        witness=witness,
+        ),
+        trials=(2 * b + 1) ** 2,
     )
 
 
@@ -865,9 +846,9 @@ def _suite_endo_graph(cfg, rec):
             return {"trial": t, "alpha": alpha}
 
     _check(
-        cfg, rec, "roundtrip", cfg.trials, roundtrip,
-        "graph-roundtrip",
+        rec, "graph-roundtrip",
         "the graph of an endomorphism is always complementary to the reference summand and decodes back to the same matrix",
+        _trials(cfg, "roundtrip", cfg.trials, roundtrip),
     )
 
     def composition(rng, t):
@@ -880,9 +861,9 @@ def _suite_endo_graph(cfg, rec):
             return {"trial": t, "a1": a1, "a2": a2}
 
     _check(
-        cfg, rec, "compose", min(cfg.trials, 50), composition,
-        "graph-composition",
+        rec, "graph-composition",
         "composing two graphs through the summand relations matches the matrix product of the decoded maps",
+        _trials(cfg, "compose", min(cfg.trials, 50), composition),
     )
 
 

@@ -139,7 +139,9 @@ def _degree_of(ctx, pos):
     return max(d for d in range(len(offsets) - 1) if offsets[d] <= pos)
 
 
-@pytest.mark.parametrize("rank,nil_class", [(2, 1), (2, 2), (3, 3), (2, 5), (4, 4), (3, 5)])
+@pytest.mark.parametrize(
+    "rank,nil_class", [(2, 1), (2, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4), (3, 5)]
+)
 def test_apply_matches_dense_substitution(rank, nil_class):
     ctx = GroupContext.get(rank, nil_class)
     s = nil_class
@@ -162,21 +164,21 @@ def test_apply_matches_dense_substitution(rank, nil_class):
 @pytest.mark.parametrize("rank,nil_class", [(2, 4), (4, 4), (2, 5), (3, 5)])
 def test_apply_of_minus_identity_maps_matches_dense_substitution(rank, nil_class):
     # a map with abelianization -I adds (-1)^s times the top block as one
-    # slice, +1 at class 4 and -1 at class 5; a mixed-sign diagonal keeps
-    # the row-by-row top degree
+    # slice, +1 at class 4 and -1 at class 5; a mixed-sign diagonal caches
+    # the rows of A and takes the tensor power A^(x)s
     ctx = GroupContext.get(rank, nil_class)
     s = nil_class
     rng = random.Random(7 * rank + nil_class)
     minus = symmetry_sample(ctx, rng, conjugates=2, perturbed=2)
     assert minus[0] == canonical_symmetry(ctx)
-    diag = [[(i == j) - 2 * (i == j == 0) for j in range(rank)] for i in range(rank)]
-    mixed = lift_matrix(ctx, IntMatrix(diag))
+    diag = IntMatrix([[(i == j) - 2 * (i == j == 0) for j in range(rank)] for i in range(rank)])
+    mixed = lift_matrix(ctx, diag)
     for f in minus + [mixed]:
         for _ in range(2):
             g = random_element(ctx, rng, bound=2)
             assert apply(f, g)._series == _dense_apply(f, g)
         assert k_depth(f) == 0
-        assert f._cols == ((-1) ** s if f is not mixed else [[(0, -1)]] + [[(j, 1)] for j in range(1, rank)])
+        assert f._cols == ((-1) ** s if f is not mixed else diag.rows)
 
 
 def test_compose_examples():

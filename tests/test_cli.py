@@ -185,10 +185,14 @@ def test_optimized_interpreter_gives_the_same_report(tmp_path, suite, rank, nil_
 
 
 def test_oversized_context_is_usage_error(capsys):
-    # the context size guard refuses before building anything
-    argv = ["verify", "--suite", "group-axioms", "--rank", "1000", "--class", "9"]
-    assert cli.main(argv) == 2
-    assert "usage error" in capsys.readouterr().err
+    # the context size guard and the structure's rank cap refuse before
+    # building anything
+    for argv in (
+        ["verify", "--suite", "group-axioms", "--rank", "1000", "--class", "9"],
+        ["verify", "--suite", "interp-M", "--rank", "1000000000"],
+    ):
+        assert cli.main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_package_imports_no_fractions():

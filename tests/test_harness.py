@@ -117,7 +117,7 @@ def test_failing_check_records_witness():
 
 
 def test_check_records_trials_run():
-    from nilaut.harness import _Recorder, _check
+    from nilaut.harness import _Recorder, _check, _trials
 
     cfg = SuiteConfig("eq-2", trials=30).normalized()
     seen = []
@@ -127,12 +127,16 @@ def test_check_records_trials_run():
         return {"trial": t} if t == 1 else None
 
     rec = _Recorder()
-    _check(cfg, rec, "demo", 30, trial_fn, "demo", "statement")
+    _check(rec, "demo", "statement", _trials(cfg, "demo", 30, trial_fn))
     assert seen == [0, 1]
     assert rec.checks[0]["trials"] == 2
     assert rec.checks[0]["witness"] == {"trial": 1}
-    _check(cfg, rec, "demo", 30, lambda rng, t: None, "demo", "statement")
+    _check(rec, "demo", "statement", _trials(cfg, "demo", 30, lambda rng, t: None))
     assert rec.checks[1]["passed"] and rec.checks[1]["trials"] == 30
+    # a fixed count is recorded as given, however many cases ran
+    _check(rec, "demo", "statement", iter([None, {"case": 1}, None]), trials=7)
+    assert not rec.checks[2]["passed"] and rec.checks[2]["trials"] == 7
+    assert rec.checks[2]["witness"] == {"case": 1}
 
 
 def test_proposition_sigma_conjugates_once_per_theta_and_pool_index(monkeypatch):
