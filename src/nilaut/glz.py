@@ -149,17 +149,17 @@ class IntMatrix:
 
         The row Hermite form of a unimodular matrix is the identity, so the
         transform T of `hermite_form`, with T @ A == I, is the inverse.  Any
-        other Hermite form means det is not +-1.
+        other Hermite form means det is not +-1.  A @ T == I is checked.
         """
         if not self.is_square:
             raise InputError("inverse needs a square matrix")
         h, _, t = hermite_form(self.rows, with_transform=True)
-        if h != IntMatrix.identity(self.nrows).to_json():
+        eye = IntMatrix.identity(self.nrows).to_json()
+        if h != eye:
             raise DomainError("matrix is not unimodular")
-        inv = IntMatrix._trusted(tuple(map(tuple, t)))
-        if not (self @ inv).is_identity():
+        if _product_rows(self.rows, t) != eye:
             raise InternalError("Hermite transform does not invert its input")
-        return inv
+        return IntMatrix._trusted(tuple(map(tuple, t)))
 
     def is_identity(self) -> bool:
         # in place: each row i holds a 1 at i and n - 1 zeros
@@ -186,6 +186,20 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 # normal forms and integer linear algebra
 # ---------------------------------------------------------------------------
+
+
+def _product_rows(a, b):
+    """The rows of a @ b as lists: row i sums the rows of b scaled by the
+    nonzeros of row i of a, so a sparse a costs nnz(a) * width(b)."""
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                scaled = map(x.__mul__, brow)
+                acc = list(scaled if acc is None else map(add, acc, scaled))
+        out.append(acc or [0] * len(b[0]))
+    return out
 
 
 def hermite_form(rows, with_transform=False):

@@ -108,11 +108,11 @@ def _build_basis(rank: int, cls: int):
 
 
 # A series holds sum(rank**d, d <= s) integers; larger contexts are refused.
-# Set-up is the basis series and one Hermite inverse per Lyndon minor, whose
-# check product grows as the cube of the top weight's dimension.  Measured
-# on a 2-core VM (Python 3.11): (3,6), 1,093 entries, 0.2 s; (4,5), 1,365,
-# 0.6 s; (10,3), 1,111, 1.7 s; (36,2), 1,333, 9 s (a 630-row minor); (6,4),
-# 1,555, 1.6 s; (3,7), 3,280, 2.4 s, 52 MB.
+# Set-up is the basis series and one checked Hermite inverse per Lyndon
+# minor.  Median of three fresh processes on a 2-core VM (Python 3.11):
+# (3,6), 1,093 entries, 0.10 s; (4,5), 1,365, 0.18 s; (10,3), 1,111,
+# 0.19 s; (36,2), 1,333, 0.49 s (a 630-row minor); beyond the cap, (6,4),
+# 1,555, 0.29 s; (3,7), 3,280, 0.70 s, 41 MB peak RSS.
 MAX_SERIES_ENTRIES = 1400
 
 
@@ -182,12 +182,21 @@ class GroupContext:
         self._deg_offsets = [0]
         for size in self._deg_sizes:
             self._deg_offsets.append(self._deg_offsets[-1] + size)
-        basis_series = []
-        for b in self.basis:
-            basis_series.append(self._series_of_basis(b, basis_series))
         # each basis factor b as the sparse triples of the nonzero powers of
-        # b - 1; a light factor (2 * weight > s) keeps b - 1 alone
-        self._bterms = [_unit_powers(self, ser) for ser in basis_series]
+        # b - 1; a light factor (2 * weight > s) keeps b - 1 alone.  A bracket
+        # [u, v] is (u^-1 v^-1)(u v), its inverses scattered from those triples
+        basis_series = []
+        self._bterms = []
+        for b in self.basis:
+            if isinstance(b.shape, tuple):
+                u, v = (basis_series[i] for i in b.shape)
+                inv_u, inv_v = (_binomial_series(self, self._bterms[i], -1) for i in b.shape)
+                ser = _series_mul(self, _series_mul(self, inv_u, inv_v), _series_mul(self, u, v))
+            else:
+                ser = _unit_series(self)
+                ser[1][b.shape] = 1
+            basis_series.append(ser)
+            self._bterms.append(_unit_powers(self, ser))
         # the degree-w block of a weight-w basis series is its Hall
         # polynomial; restricted to the Lyndon-word entries these form a
         # square integer matrix of det +-1 (Chen-Fox-Lyndon; Reutenauer,
@@ -215,16 +224,6 @@ class GroupContext:
         if w not in self._weight_ranges:
             raise InputError("weight %r out of range 1..%d" % (w, self.nilpotency_class))
         return self._weight_ranges[w]
-
-    def _series_of_basis(self, b: HallBasisElement, basis_series):
-        # basis_series holds the series of every basis element before b
-        if not isinstance(b.shape, tuple):
-            ser = _unit_series(self)
-            ser[1][b.shape] = 1
-            return ser
-        left = basis_series[b.shape[0]]
-        right = basis_series[b.shape[1]]
-        return _series_comm(self, left, right)
 
     def __eq__(self, other):
         return (

@@ -81,6 +81,32 @@ def test_inverse_unimodular_is_one_hermite_transform():
     assert "hermite_form" in {f.id for f in calls if isinstance(f, ast.Name)}
 
 
+def test_wrong_hermite_transform_is_an_internal_error(monkeypatch):
+    # a transform that does not invert its input fails the check A @ T == I,
+    # on a 2x2 matrix and on the 60-row Lyndon minor of weight 4 at rank 4
+    from nilaut import nilgroup as ng
+
+    ctx = ng.GroupContext.get(4, 4)
+    lo, hi = ctx.weight_range(4)
+    blocks = [ng.basis_element(ctx, i)._series[4] for i in range(lo, hi)]
+    minor = IntMatrix([[blk[p] for blk in blocks] for p in ng._lyndon_positions(4, 4)])
+    assert minor.nrows == 60
+    mats = (M((2, 1), (1, 1)), minor)
+    for a in mats:
+        assert (a @ a.inverse_unimodular()).is_identity()
+    real = glz.hermite_form
+
+    def perturbed(rows, with_transform=False):
+        h, full, t = real(rows, with_transform)
+        t[-1][0] += 1
+        return h, full, t
+
+    monkeypatch.setattr(glz, "hermite_form", perturbed)
+    for a in mats:
+        with pytest.raises(InternalError, match="Hermite transform does not invert its input"):
+            a.inverse_unimodular()
+
+
 def _ref_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
 

@@ -226,6 +226,38 @@ def test_ordered_product_is_the_product_of_basis_powers(n, s):
         assert ng._series_of_coords(ctx, exps) == want._series
 
 
+@pytest.mark.parametrize("n,s", [(2, 6), (3, 5), (4, 4), (5, 3), (10, 2)])
+def test_basis_series_are_commutators_of_their_factors(n, s):
+    # set-up forms [u, v] as (u^-1 v^-1)(u v) from the factors' cached
+    # powers; `_series_comm` forms it as (v u)^-1 (u v)
+    ctx = GroupContext.get(n, s)
+    series = [basis_element(ctx, b.index)._series for b in ctx.basis]
+    for b, ser in zip(ctx.basis, series):
+        if isinstance(b.shape, tuple):
+            left, right = b.shape
+            assert ser == ng._series_comm(ctx, series[left], series[right])
+        else:
+            want = ng._unit_series(ctx)
+            want[1][b.shape] = 1
+            assert ser == want
+
+
+@pytest.mark.parametrize("n,s", [(4, 4), (10, 3)])
+def test_context_setup_forms_no_dense_matrix_product(n, s, monkeypatch):
+    # the basis series and the checked Lyndon-minor inverses need no
+    # IntMatrix product
+    calls = []
+    real = IntMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append((self.nrows, self.ncols))
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    GroupContext(n, s)
+    assert calls == []
+
+
 def test_weight_examples():
     assert weight(identity(CTX22)) == 3
     assert weight(from_exponents(CTX22, (0, 0, 3))) == 2
