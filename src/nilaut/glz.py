@@ -49,7 +49,7 @@ class IntMatrix:
     `_trusted`, which stores its argument as the rows unchanged: it must be
     a nonempty tuple of equal-length tuples of ints.  Such a matrix
     compares and hashes equal to the checked one built from the same
-    entries.  No other module calls `_trusted`.
+    entries.  Elsewhere only `nilgroup` calls it, on its series' own ints.
     """
 
     __slots__ = ("rows", "nrows", "ncols")

@@ -487,7 +487,7 @@ def _suite_proposition_sigma(cfg, rec):
                     catalog.append(conjugate(c, lift_matrix(ctx, base)))
                 for i, theta in enumerate(catalog):
                     wit = find_nontrivial_witness(theta, cfg.m_range)
-                    certified = wit is not None and not wit.final_abelianization.is_identity()
+                    certified = wit is not None and not wit.trace[-1].is_identity()
                     yield None if certified else {"class": base_name, "index": i, "theta": theta}
 
         _check(
@@ -503,9 +503,8 @@ def _suite_proposition_sigma(cfg, rec):
                 wit is not None
                 and abelianization_matrix(wit.sigma) == IntMatrix([[1, 1], [0, 1]])
                 and wit.thetas[0] == theta
-                and abelianization_matrix(wit.trace.terms[1]) == IntMatrix([[1, -2], [0, 1]])
-                and abelianization_matrix(wit.trace.terms[2])
-                == IntMatrix([[-3, 8], [-8, 21]])
+                and wit.trace[1] == IntMatrix([[1, -2], [0, 1]])
+                and wit.trace[2] == IntMatrix([[-3, 8], [-8, 21]])
             )
             rec.add(
                 "frozen-witness-trace",

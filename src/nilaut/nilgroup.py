@@ -207,7 +207,7 @@ class GroupContext:
             lo, hi = self._weight_ranges[w]
             lyndon = _lyndon_positions(rank, w)
             blocks = [basis_series[i][w] for i in range(lo, hi)]
-            minor = IntMatrix([[blk[p] for blk in blocks] for p in lyndon])
+            minor = IntMatrix._trusted(tuple(tuple(blk[p] for blk in blocks) for p in lyndon))
             polys = [[(p, v) for p, v in enumerate(blk) if v] for blk in blocks]
             self._solvers[w] = (lyndon, minor.inverse_unimodular().rows, polys)
 

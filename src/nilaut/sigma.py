@@ -10,7 +10,8 @@ drops one level deeper into the kernel filtration at every step when the
 phi_i are conjugates of an involution that agrees with a symmetry up to an
 IA factor; after s steps it reaches the identity.  For involutions outside
 that family a non-terminating instance can be built at the abelianized
-level and lifted, which yields a concrete refutation witness.
+level and lifted, which yields a concrete refutation witness, certified on
+its abelianized recursion (abelianization is a homomorphism to GL(n, Z)).
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class Witness:
     sigma: Endomorphism
     thetas: list
     conjugators: list
-    trace: SigmaTrace
-    final_abelianization: IntMatrix
+    trace: list  # IntMatrix, the abelianized terms 0 .. s of the recursion
     walk_parameters: list
 
 
@@ -186,8 +186,9 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     Works at the abelianized level: split off an invariant rank-2 summand
     where the involution acts non-centrally, run the non-central walk in
     its coordinate frame against family members of the same conjugacy
-    class, then lift every matrix back to the group.  The final term is
-    certified non-trivial by its abelianization.  Involutions whose
+    class, then lift sigma and the conjugators back to the group.  The
+    trace is the recursion on the abelianized inputs; its term s, the framed
+    walk matrix, certifies the lifted term s non-trivial.  Involutions whose
     abelianization is minus the identity admit no witness and return None.
     """
     check_involution(theta)
@@ -223,17 +224,15 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
         rho = lift_matrix(ctx, frame @ _embed_block(p_i, n) @ frame_inv)
         conjugators.append(rho)
         thetas.append(conjugate(rho, theta))
-    trace = sigma_sequence(sigma, thetas, s)
-    final_ab = abelianization_matrix(trace.terms[s])
-    expected = frame @ _embed_block(walk_mats[-1], n) @ frame_inv
-    if final_ab != expected:
-        raise InternalError("lifted trace disagrees with the matrix walk")
+    ab_thetas = [abelianization_matrix(t) for t in thetas]
+    trace = matrix_sigma_sequence(abelianization_matrix(sigma), ab_thetas, s)
+    if trace[s] != frame @ _embed_block(walk_mats[-1], n) @ frame_inv:
+        raise InternalError("abelianized trace disagrees with the matrix walk")
     return Witness(
         sigma=sigma,
         thetas=thetas,
         conjugators=conjugators,
         trace=trace,
-        final_abelianization=final_ab,
         walk_parameters=[(r.m, r.parity, r.orientation, r.mode) for r in walk_recs],
     )
 

@@ -2,23 +2,26 @@ import random
 
 import pytest
 
+import nilaut.sigma
 from nilaut.automorphisms import (
     Endomorphism,
     abelianization_matrix,
     canonical_symmetry,
     compose,
+    conjugate,
     identity_endomorphism,
     inner,
     invert_automorphism,
     k_depth,
     lift_matrix,
 )
-from nilaut.errors import DomainError, InputError
-from nilaut.glz import IntMatrix
+from nilaut.errors import DomainError, InputError, InternalError
+from nilaut.glz import IntMatrix, noncentral_sigma_walk
 from nilaut.harness import _jsonify
 from nilaut.nilgroup import GroupContext, generator
 from nilaut.sampling import random_automorphism, symmetry_sample
 from nilaut.sigma import (
+    _embed_block,
     check_involution,
     descent_verdict,
     find_nontrivial_witness,
@@ -225,10 +228,7 @@ def test_witness_for_diagonal_lift_frozen_trace():
     assert wit is not None
     assert abelianization_matrix(wit.sigma) == SHEAR
     assert wit.thetas[0] == theta  # the first family choice is theta itself
-    mats = [abelianization_matrix(t) for t in wit.trace.terms]
-    assert mats[1] == IntMatrix([[1, -2], [0, 1]])
-    assert mats[2] == IntMatrix([[-3, 8], [-8, 21]])
-    assert wit.final_abelianization == IntMatrix([[-3, 8], [-8, 21]])
+    assert wit.trace[1:] == [IntMatrix([[1, -2], [0, 1]]), IntMatrix([[-3, 8], [-8, 21]])]
     assert abelianization_matrix(wit.thetas[1]) == IntMatrix(
         [[1, 0], [1, 1]]
     ) @ DIAG @ IntMatrix([[1, 0], [1, 1]]).inverse_unimodular()
@@ -238,8 +238,8 @@ def test_witness_for_swap_lift():
     theta = lift_matrix(CTX22, SWAP)
     wit = find_nontrivial_witness(theta)
     assert wit is not None
-    assert not wit.final_abelianization.is_identity()
-    assert not abelianization_matrix(wit.trace.terms[-1]).is_identity()
+    assert not wit.trace[-1].is_identity()
+    assert not abelianization_matrix(sigma_sequence(wit.sigma, wit.thetas, 2).terms[-1]).is_identity()
 
 
 def test_witness_catalog_with_conjugates():
@@ -253,7 +253,7 @@ def test_witness_catalog_with_conjugates():
                 theta = compose(compose(c, theta0), invert_automorphism(c))
                 wit = find_nontrivial_witness(theta)
                 assert wit is not None
-                assert not wit.final_abelianization.is_identity()
+                assert not wit.trace[-1].is_identity()
                 # every conjugating involution in the witness is an exact
                 # conjugate of theta
                 ident = identity_endomorphism(ctx)
@@ -262,6 +262,33 @@ def test_witness_catalog_with_conjugates():
                     assert t == compose(
                         compose(rho, theta), invert_automorphism(rho)
                     )
+
+
+@pytest.mark.parametrize("rank,cls", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_witness_trace_is_the_abelianized_lifted_recursion(rank, cls):
+    # a witness is certified on the matrix recursion of its abelianized
+    # inputs; abelianization is a homomorphism, so the lifted recursion,
+    # which the search does not run, abelianizes to the same terms
+    ctx = GroupContext.get(rank, cls)
+    rng = random.Random(26)
+    for base in (DIAG, SWAP):
+        c = random_automorphism(ctx, rng)
+        theta = conjugate(c, lift_matrix(ctx, _embed_block(base, rank)))
+        wit = find_nontrivial_witness(theta)
+        assert wit is not None and len(wit.trace) == cls + 1
+        lifted = sigma_sequence(wit.sigma, wit.thetas, cls).terms
+        assert [abelianization_matrix(t) for t in lifted] == wit.trace
+        assert lifted[cls] != identity_endomorphism(ctx)
+
+
+def test_witness_mismatch_with_the_walk_is_an_internal_error(monkeypatch):
+    def tampered_walk(*args):
+        mats, recs = noncentral_sigma_walk(*args)
+        return mats[:-1] + [-mats[-1]], recs
+
+    monkeypatch.setattr(nilaut.sigma, "noncentral_sigma_walk", tampered_walk)
+    with pytest.raises(InternalError, match="abelianized trace disagrees with the matrix walk"):
+        find_nontrivial_witness(lift_matrix(CTX22, DIAG))
 
 
 def test_no_witness_for_symmetries():
