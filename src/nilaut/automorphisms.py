@@ -164,7 +164,10 @@ class Endomorphism:
 
 
 def identity_endomorphism(ctx: GroupContext) -> Endomorphism:
-    return lift_matrix(ctx, IntMatrix.identity(ctx.rank))
+    """The identity map, built once per context; it stores no monomial image."""
+    if ctx._identity is None:
+        ctx._identity = lift_matrix(ctx, IntMatrix.identity(ctx.rank))
+    return ctx._identity
 
 
 def apply(f: Endomorphism, g: GroupElement) -> GroupElement:
@@ -330,7 +333,9 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
     own monomial images, not the scatter of f that built h.  f is bijective
     (its abelianization is unimodular, so f is onto, and a finitely
     generated nilpotent group is Hopfian), so h o f == id gives h == f^-1,
-    and f o h == id follows.
+    and f o h == id follows.  The check applies a throwaway map over the
+    solved images; callers only compose with an inverse, never apply it, so
+    the cached one is fresh and holds no monomial image but the unit.
 
     This is the only writer of the inverse cache: the result is cached on
     f, so inverting f again is a lookup.  f is not cached on the result:
@@ -362,11 +367,10 @@ def invert_automorphism(f: Endomorphism) -> Endomorphism:
             if k < s:
                 f._scatter(acc, k, ser[k])
         images.append(_from_series(ctx, ser))
-    h = Endomorphism(ctx, images)
-    if not _is_identity(compose(h, f)):
+    if not _is_identity(compose(Endomorphism(ctx, images), f)):
         raise InternalError("the computed inverse is not a left inverse")
-    f._inverse = h
-    return h
+    f._inverse = Endomorphism(ctx, images)
+    return f._inverse
 
 
 def inner(x: GroupElement) -> Endomorphism:

@@ -409,7 +409,6 @@ def _suite_proposition_sigma(cfg, rec):
     n_pool = cfg.trials
 
     rng_thetas = _trial_rng(cfg.seed, cfg.suite, "thetas")
-    thetas = [conjugated_symmetry(ctx, rng_thetas) for _ in range(n_pool)]
     rng_sigmas = _trial_rng(cfg.seed, cfg.suite, "sigmas")
     sigmas = [random_automorphism(ctx, rng_sigmas) for _ in range(n_pool)]
     rng_conj = _trial_rng(cfg.seed, cfg.suite, "conjugators")
@@ -421,11 +420,12 @@ def _suite_proposition_sigma(cfg, rec):
         # one case per (theta, sigma) pair: None, or the name of the check
         # it fails with its witness; the shadow is checked only after a
         # passing descent, so both checks share one trace count
-        for ti, theta in enumerate(thetas):
-            # the per-involution part of sigma.necessity_check, once per
-            # theta: the order-two check, and per pool index k the
-            # conjugate c_k theta c_k^-1 with its abelianized matrix, kept
-            # for this row only
+        for ti in range(n_pool):
+            # theta, drawn per row so its monomial images die with it, and
+            # the per-involution part of sigma.necessity_check: the order-two
+            # check, and per pool index k the conjugate c_k theta c_k^-1
+            # with its abelianized matrix, kept for this row only
+            theta = conjugated_symmetry(ctx, rng_thetas)
             check_involution(theta)
             theta_mat = abelianization_matrix(theta)
             phis = {}

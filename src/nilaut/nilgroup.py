@@ -210,6 +210,8 @@ class GroupContext:
             minor = IntMatrix._trusted(tuple(tuple(blk[p] for blk in blocks) for p in lyndon))
             polys = [[(p, v) for p, v in enumerate(blk) if v] for blk in blocks]
             self._solvers[w] = (lyndon, minor.inverse_unimodular().rows, polys)
+        # the identity automorphism, built by identity_endomorphism on first need
+        self._identity = None
 
     @classmethod
     def get(cls, rank: int, nilpotency_class: int) -> "GroupContext":

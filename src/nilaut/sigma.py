@@ -70,10 +70,15 @@ class NecessityVerdict:
 @dataclass
 class Witness:
     sigma: Endomorphism
-    thetas: list
+    theta: Endomorphism
     conjugators: list
     trace: list  # IntMatrix, the abelianized terms 0 .. s of the recursion
     walk_parameters: list
+
+    @property
+    def thetas(self):
+        """The lifted theta_i = rho_i theta rho_i^-1, formed on each access."""
+        return [conjugate(rho, self.theta) for rho in self.conjugators]
 
 
 def check_involution(theta: Endomorphism) -> None:
@@ -188,7 +193,8 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     its coordinate frame against family members of the same conjugacy
     class, then lift sigma and the conjugators back to the group.  The
     trace is the recursion on the abelianized inputs; its term s, the framed
-    walk matrix, certifies the lifted term s non-trivial.  Involutions whose
+    walk matrix, certifies the lifted term s non-trivial.  No lifted theta_i
+    is formed: `Witness.thetas` builds them on demand.  Involutions whose
     abelianization is minus the identity admit no witness and return None.
     """
     check_involution(theta)
@@ -214,23 +220,23 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
         return None
     n = ctx.rank
     sigma = lift_matrix(ctx, frame @ _embed_block(seed2, n) @ frame_inv)
-    thetas = []
+    ab_thetas = []
     conjugators = []
     for rec in walk_recs:
         t_i = _family_matrix(rec.parity, rec.m, rec.orientation)
         cls_i, p_i = classify_involution2(t_i)
         if cls_i is not cls:
             raise InternalError("walk family member left the involution class")
-        rho = lift_matrix(ctx, frame @ _embed_block(p_i, n) @ frame_inv)
-        conjugators.append(rho)
-        thetas.append(conjugate(rho, theta))
-    ab_thetas = [abelianization_matrix(t) for t in thetas]
+        # theta_i = rho_i theta rho_i^-1 abelianizes to R_i A R_i^-1
+        r_i = frame @ _embed_block(p_i, n) @ frame_inv
+        conjugators.append(lift_matrix(ctx, r_i))
+        ab_thetas.append(r_i @ amat @ r_i.inverse_unimodular())
     trace = matrix_sigma_sequence(abelianization_matrix(sigma), ab_thetas, s)
     if trace[s] != frame @ _embed_block(walk_mats[-1], n) @ frame_inv:
         raise InternalError("abelianized trace disagrees with the matrix walk")
     return Witness(
         sigma=sigma,
-        thetas=thetas,
+        theta=theta,
         conjugators=conjugators,
         trace=trace,
         walk_parameters=[(r.m, r.parity, r.orientation, r.mode) for r in walk_recs],

@@ -22,7 +22,7 @@ from nilaut.automorphisms import (
     k_depth,
     lift_matrix,
 )
-from nilaut.errors import DomainError, InputError
+from nilaut.errors import DomainError, InputError, InternalError
 from nilaut.glz import IntMatrix, random_unimodular
 from nilaut.nilgroup import (
     GroupContext,
@@ -237,6 +237,41 @@ def test_invert_automorphism():
         invert_automorphism(
             Endomorphism(CTX22, (from_exponents(CTX22, (2, 0, 0)), generator(CTX22, 2)))
         )
+
+
+def test_perturbed_inverse_solve_is_an_internal_error(monkeypatch):
+    # at depth 0 the first tensor power is the degree-1 block of f^-1(x_1);
+    # the left check h o f == id, on h's own images, refuses it
+    from nilaut import automorphisms
+
+    real = automorphisms._tensor_power
+    calls = []
+
+    def perturbed(rows, vec, k):
+        out = real(rows, vec, k)
+        if not calls:
+            out[0] += 1
+        calls.append(k)
+        return out
+
+    f = lift_matrix(CTX33, IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, -1]]))
+    assert k_depth(f) == 0
+    monkeypatch.setattr(automorphisms, "_tensor_power", perturbed)
+    with pytest.raises(InternalError, match="^the computed inverse is not a left inverse$"):
+        invert_automorphism(f)
+    assert calls[0] == 1 and f._inverse is None
+
+
+def test_cached_inverse_holds_no_monomial_image():
+    # callers only compose with an inverse, so the images the left check
+    # applies die with its throwaway map
+    rng = random.Random(27)
+    f, c = random_automorphism(CTX33, rng), random_automorphism(CTX33, rng)
+    h = invert_automorphism(f)
+    assert list(h._mon_images) == [0] and invert_automorphism(f) is h
+    conjugate(c, f)
+    assert list(c._inverse._mon_images) == [0]
+    assert compose(h, f) == identity_endomorphism(CTX33)
 
 
 def test_filtration_depth_stands_in_for_the_determinant(monkeypatch):

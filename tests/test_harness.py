@@ -412,3 +412,47 @@ def test_pair_loop_stops_at_first_shadow_failure(monkeypatch):
     assert descent["passed"] and descent["trials"] == 2 and descent["witness"] is None
     assert not shadow["passed"] and shadow["trials"] == 2
     assert shadow["witness"] == {"theta_index": 0, "sigma_index": 1}
+
+
+def test_pair_loop_draws_theta_per_row(monkeypatch):
+    # theta t is drawn at the start of row t, so a run whose first pair
+    # fails draws one theta
+    from nilaut import harness
+    from nilaut.sigma import NecessityVerdict, SigmaTrace
+
+    drawn = []
+    real = harness.conjugated_symmetry
+
+    def counting(ctx, rng):
+        drawn.append(ctx)
+        return real(ctx, rng)
+
+    monkeypatch.setattr(harness, "conjugated_symmetry", counting)
+    monkeypatch.setattr(
+        harness, "descent_verdict", lambda sigma, phis: NecessityVerdict(False, SigmaTrace([], []), [1])
+    )
+    report = run_suite(SuiteConfig("proposition-sigma", rank=3, nil_class=3, trials=4, seed=1))
+    descent = _record(report, "necessity-descent")
+    assert not descent["passed"] and descent["trials"] == 1
+    assert descent["witness"]["theta_index"] == 0 and descent["witness"]["sigma_index"] == 0
+    assert len(drawn) == 1
+
+
+def test_proposition_sigma_traced_peak():
+    # only maps applied again keep monomial images: sigma, the conjugator
+    # pool and each row's conjugates.  The traced peak is 1.55 MB; caching
+    # the left check's images on each inverse and keeping every theta's
+    # images to the end of the run raises it to 2.43 MB
+    import tracemalloc
+
+    from nilaut.nilgroup import GroupContext
+
+    GroupContext.get(3, 3)
+    tracemalloc.start()
+    try:
+        report = run_suite(SuiteConfig("proposition-sigma", rank=3, nil_class=3, trials=5, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2_000_000
