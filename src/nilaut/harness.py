@@ -65,9 +65,9 @@ from .sampling import (
 )
 from .sigma import (
     check_involution,
-    descent_verdict,
     find_nontrivial_witness,
     matrix_sigma_sequence,
+    sigma_sequence,
 )
 from .interpret import (
     build_structure_M,
@@ -411,6 +411,7 @@ def _suite_proposition_sigma(cfg, rec):
     rng_thetas = _trial_rng(cfg.seed, cfg.suite, "thetas")
     rng_sigmas = _trial_rng(cfg.seed, cfg.suite, "sigmas")
     sigmas = [random_automorphism(ctx, rng_sigmas) for _ in range(n_pool)]
+    sigma_mats = [abelianization_matrix(sigma) for sigma in sigmas]
     rng_conj = _trial_rng(cfg.seed, cfg.suite, "conjugators")
     conj_pool = [random_automorphism(ctx, rng_conj) for _ in range(20)]
 
@@ -427,32 +428,27 @@ def _suite_proposition_sigma(cfg, rec):
             # with its abelianized matrix, kept for this row only
             theta = conjugated_symmetry(ctx, rng_thetas)
             check_involution(theta)
-            theta_mat = abelianization_matrix(theta)
             phis = {}
             for si, sigma in enumerate(sigmas):
                 draws = [pick.randrange(len(conj_pool)) for _ in range(s)]
                 for k in draws:
                     if k not in phis:
-                        c = conj_pool[k]
-                        c_mat = abelianization_matrix(c)
-                        phis[k] = (
-                            conjugate(c, theta),
-                            c_mat @ theta_mat @ c_mat.inverse_unimodular(),
-                        )
-                verdict = descent_verdict(sigma, [phis[k][0] for k in draws])
-                if not verdict.passed:
+                        phi = conjugate(conj_pool[k], theta)
+                        phis[k] = (phi, abelianization_matrix(phi))
+                trace = sigma_sequence(sigma, [phis[k][0] for k in draws])
+                if not trace.passed:
                     yield "necessity-descent", {
                         "theta_index": ti,
                         "sigma_index": si,
-                        "violations": verdict.violations,
+                        "violations": trace.violations,
                         "theta": theta,
                         "sigma": sigma,
-                        "depths": verdict.trace.depths,
+                        "depths": trace.depths,
                     }
                     return
-                phi_mats = [phis[k][1] for k in draws]
-                mats = matrix_sigma_sequence(abelianization_matrix(sigma), phi_mats, s)
-                if all(abelianization_matrix(t) == m for t, m in zip(verdict.trace.terms, mats)):
+                mats = matrix_sigma_sequence(sigma_mats[si], [phis[k][1] for k in draws])
+                # term 0 is sigma, whose matrix starts the matrix recursion
+                if all(abelianization_matrix(t) == m for t, m in zip(trace.terms[1:], mats[1:])):
                     yield None
                 else:
                     yield "abelianized-shadow", {"theta_index": ti, "sigma_index": si}
@@ -484,7 +480,7 @@ def _suite_proposition_sigma(cfg, rec):
                 catalog = [lift_matrix(ctx, base)]
                 for _ in range(10):
                     c = random_automorphism(ctx, rng_cat)
-                    catalog.append(conjugate(c, lift_matrix(ctx, base)))
+                    catalog.append(conjugate(c, catalog[0]))
                 for i, theta in enumerate(catalog):
                     wit = find_nontrivial_witness(theta, cfg.m_range)
                     certified = wit is not None and not wit.trace[-1].is_identity()
@@ -618,10 +614,7 @@ def _suite_xy_linearity(cfg, rec):
 def _suite_walk(cfg, rec):
     def walk(rng, t):
         s0 = _sample_noncentral(rng)
-        try:
-            mats, recs = noncentral_walk_certificate(s0, 50, m_range=cfg.m_range)
-        except SearchExhausted as exc:
-            return {"trial": t, "seed_matrix": s0, "error": str(exc)}
+        mats, recs = noncentral_walk_certificate(s0, 50, m_range=cfg.m_range)
         if any(m.is_central() for m in mats):
             return {"trial": t, "seed_matrix": s0}
         if t < 10:

@@ -16,9 +16,9 @@ its abelianized recursion (abelianization is a homomorphism to GL(n, Z)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DomainError, InputError, InternalError, SearchExhausted
+from .errors import DomainError, InputError, InternalError
 from .automorphisms import (
     Endomorphism,
     _is_identity,
@@ -43,12 +43,10 @@ from .glz import (
 
 __all__ = [
     "SigmaTrace",
-    "NecessityVerdict",
     "Witness",
     "sigma_sequence",
     "matrix_sigma_sequence",
     "check_involution",
-    "descent_verdict",
     "necessity_check",
     "find_nontrivial_witness",
 ]
@@ -56,15 +54,23 @@ __all__ = [
 
 @dataclass
 class SigmaTrace:
+    """The s + 1 terms of the recursion and their filtration depths.
+
+    The descent passes when term m lies in K_m for every m up to the class
+    s; the violations list the failing m.  K_s is trivial, so term s in K_s
+    is the identity: k_depth is s + 1 for the identity and never s.
+    """
+
     terms: list  # Endomorphism, terms[0] is the input
     depths: list  # per-term filtration depth, 0 .. s-1 or the sentinel s+1
 
+    @property
+    def violations(self):
+        return [m for m, depth in enumerate(self.depths) if depth < m]
 
-@dataclass
-class NecessityVerdict:
-    passed: bool
-    trace: SigmaTrace
-    violations: list = field(default_factory=list)
+    @property
+    def passed(self):
+        return not self.violations
 
 
 @dataclass
@@ -89,29 +95,28 @@ def check_involution(theta: Endomorphism) -> None:
         raise DomainError("automorphism does not square to the identity")
 
 
-def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
-    """The first `length` steps of the alternating recursion, with depths.
+def sigma_sequence(sigma: Endomorphism, phis) -> SigmaTrace:
+    """The s steps of the alternating recursion, one per phi, with depths.
 
-    Step m = s - 1, for s the class, is the last step of a descent, and
-    inverts when s is odd: then term s = phi cur phi cur^-1 is first tested
-    as phi cur phi == cur, and is a fresh identity, with no inverse formed,
-    when that holds.
+    s is the class, and any other number of phis is an InputError.  Step
+    m = s - 1 is the last step of a descent, and inverts when s is odd:
+    then term s = phi cur phi cur^-1 is first tested as phi cur phi == cur,
+    and is a fresh identity, with no inverse formed, when that holds.
     """
     phis = list(phis)
-    if len(phis) < length:
-        raise InputError("need %d conjugating automorphisms, got %d" % (length, len(phis)))
     ctx = sigma.context
-    for f in [sigma] + phis[:length]:
+    s = ctx.nilpotency_class
+    if len(phis) != s:
+        raise InputError("need %d conjugating automorphisms, got %d" % (s, len(phis)))
+    for f in [sigma] + phis:
         if f.context != ctx:
             raise InputError("context mismatch in the recursion inputs")
         if not is_automorphism(f):
             raise DomainError("recursion inputs must be automorphisms")
-    last = ctx.nilpotency_class - 1
     terms = [sigma]
     cur = sigma
-    for m in range(length):
-        phi = phis[m]
-        if m == last and m % 2 == 0:
+    for m, phi in enumerate(phis):
+        if m == s - 1 and m % 2 == 0:
             head = compose(phi, compose(cur, phi))
             if head == cur:
                 cur = identity_endomorphism(ctx)
@@ -126,53 +131,33 @@ def sigma_sequence(sigma: Endomorphism, phis, length: int) -> SigmaTrace:
     return SigmaTrace(terms, [k_depth(t) for t in terms])
 
 
-def matrix_sigma_sequence(sigma: IntMatrix, phis, length: int):
-    """The same recursion on integer matrices (the abelianized shadow)."""
-    phis = list(phis)
-    if len(phis) < length:
-        raise InputError("need %d matrices, got %d" % (length, len(phis)))
+def matrix_sigma_sequence(sigma: IntMatrix, phis):
+    """The same recursion on integer matrices (the abelianized shadow), one
+    step per phi."""
     terms = [sigma]
     cur = sigma
-    for m in range(length):
-        phi = phis[m]
+    for m, phi in enumerate(phis):
         tail = cur.inverse_unimodular() if m % 2 == 0 else cur
         cur = phi @ cur @ phi @ tail
         terms.append(cur)
     return terms
 
 
-def descent_verdict(sigma: Endomorphism, phis) -> NecessityVerdict:
-    """Run the recursion on sigma against the phis and check the descent.
-
-    The verdict passes when term m lies in K_m for every m up to the class
-    s; the violations list the failing m.  K_s is trivial, so term s in K_s
-    is the identity: k_depth is s + 1 for the identity and never s.
-    """
-    s = sigma.context.nilpotency_class
-    trace = sigma_sequence(sigma, phis, s)
-    violations = [m for m in range(1, s + 1) if trace.depths[m] < m]
-    return NecessityVerdict(not violations, trace, violations)
-
-
-def necessity_check(theta: Endomorphism, sigma: Endomorphism, conjugators) -> NecessityVerdict:
+def necessity_check(theta: Endomorphism, sigma: Endomorphism, conjugators) -> SigmaTrace:
     """Run the recursion against conjugates of theta and check the descent.
 
     The composition of the per-involution part, `check_involution(theta)`
-    and the conjugates phi_m = c_m theta c_m^-1 of the first s conjugators,
-    with the per-pair part, `descent_verdict(sigma, phis)`.  A caller that
-    checks many sigmas against one theta runs the first part once.
+    and the conjugates phi_m = c_m theta c_m^-1 of the s conjugators, with
+    the per-pair part, `sigma_sequence(sigma, phis)`.  A caller that checks
+    many sigmas against one theta runs the first part once.
     """
     check_involution(theta)
-    s = theta.context.nilpotency_class
-    conjugators = list(conjugators)
-    if len(conjugators) < s:
-        raise InputError("need %d conjugators, got %d" % (s, len(conjugators)))
     phis = []
-    for c in conjugators[:s]:
+    for c in conjugators:
         if not is_automorphism(c):
             raise DomainError("conjugators must be automorphisms")
         phis.append(conjugate(c, theta))
-    return descent_verdict(sigma, phis)
+    return sigma_sequence(sigma, phis)
 
 
 def _embed_block(mat2: IntMatrix, n: int) -> IntMatrix:
@@ -195,7 +180,8 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     trace is the recursion on the abelianized inputs; its term s, the framed
     walk matrix, certifies the lifted term s non-trivial.  No lifted theta_i
     is formed: `Witness.thetas` builds them on demand.  Involutions whose
-    abelianization is minus the identity admit no witness and return None.
+    abelianization is minus the identity admit no witness and return None;
+    a walk that runs out of m_range raises SearchExhausted.
     """
     check_involution(theta)
     ctx = theta.context
@@ -214,10 +200,7 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
     cls = InvolutionClass.DIAGONAL if split.restriction == DIAG_REP else InvolutionClass.SWAP
     parity = "even" if cls is InvolutionClass.DIAGONAL else "odd"
     seed2 = IntMatrix([[1, 1], [0, 1]])
-    try:
-        walk_mats, walk_recs = noncentral_sigma_walk(seed2, s, parity, m_range)
-    except SearchExhausted:
-        return None
+    walk_mats, walk_recs = noncentral_sigma_walk(seed2, s, parity, m_range)
     n = ctx.rank
     sigma = lift_matrix(ctx, frame @ _embed_block(seed2, n) @ frame_inv)
     ab_thetas = []
@@ -231,7 +214,7 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
         r_i = frame @ _embed_block(p_i, n) @ frame_inv
         conjugators.append(lift_matrix(ctx, r_i))
         ab_thetas.append(r_i @ amat @ r_i.inverse_unimodular())
-    trace = matrix_sigma_sequence(abelianization_matrix(sigma), ab_thetas, s)
+    trace = matrix_sigma_sequence(abelianization_matrix(sigma), ab_thetas)
     if trace[s] != frame @ _embed_block(walk_mats[-1], n) @ frame_inv:
         raise InternalError("abelianized trace disagrees with the matrix walk")
     return Witness(

@@ -153,6 +153,24 @@ def test_falsifier_miss_is_a_search_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "walk", "--trials", "2"],
+        ["--suite", "proposition-sigma", "--rank", "2", "--class", "2", "--trials", "2"],
+    ],
+    ids=["walk", "proposition-sigma"],
+)
+def test_walk_that_runs_out_is_a_search_error(tmp_path, capsys, args):
+    # at m = 0 alone the walks find no non-central successor, which proves
+    # nothing about the walked matrix or the catalogued involution
+    path = tmp_path / "r.json"
+    assert cli.main(["verify"] + args + ["--m-range=0:0", "--report", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "search error" in captured.err and "FAIL" not in captured.out
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
     "suite,rank,nil_class,trials,seed",
     # interp-M runs the batched structure relations and the falsifier's
     # checks; lemma-2.2 at class 3 inverts members of every proper K_m;

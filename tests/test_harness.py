@@ -184,6 +184,33 @@ def test_proposition_sigma_conjugates_once_per_theta_and_pool_index(monkeypatch)
     assert involution_checks == list(range(cfg.trials))
 
 
+def test_pair_loop_reads_each_matrix_off_its_map(monkeypatch):
+    # each conjugate's matrix is read off the conjugate itself, never built
+    # from its conjugator's, and each sigma's matrix once per pool, not once
+    # per pair; the parent read every conjugator and each sigma twice a pair
+    from nilaut import harness
+    from nilaut.sampling import random_automorphism
+
+    cfg = SuiteConfig("proposition-sigma", rank=3, nil_class=3, trials=3, seed=5)
+    ctx = harness.GroupContext.get(3, 3)
+    rng = harness._trial_rng(cfg.seed, cfg.suite, "sigmas")
+    sigmas = [random_automorphism(ctx, rng) for _ in range(cfg.trials)]
+    rng = harness._trial_rng(cfg.seed, cfg.suite, "conjugators")
+    pool = [random_automorphism(ctx, rng) for _ in range(20)]
+    received = []
+    real = harness.abelianization_matrix
+
+    def recording(f):
+        received.append(f)
+        return real(f)
+
+    monkeypatch.setattr(harness, "abelianization_matrix", recording)
+    report = run_suite(cfg)
+    assert report.passed
+    assert not any(f == c for f in received for c in pool)
+    assert [sum(f == sigma for f in received) for sigma in sigmas] == [1] * cfg.trials
+
+
 def test_proposition_sigma_pair_loop_reads_no_coordinates(monkeypatch):
     # the recursion, its depths and the abelianized shadow read Magnus
     # series only; Hall coordinates are read off where they leave the engine
@@ -192,20 +219,20 @@ def test_proposition_sigma_pair_loop_reads_no_coordinates(monkeypatch):
     readoffs = []
     marks = []
     real_read = nilgroup._series_to_coords
-    real_verdict = harness.descent_verdict
+    real_sequence = harness.sigma_sequence
 
     def counting_read(ctx, ser):
         readoffs.append(ctx)
         return real_read(ctx, ser)
 
-    def marking_verdict(sigma, phis):
+    def marking_sequence(sigma, phis):
         marks.append(len(readoffs))
-        verdict = real_verdict(sigma, phis)
+        trace = real_sequence(sigma, phis)
         marks.append(len(readoffs))
-        return verdict
+        return trace
 
     monkeypatch.setattr(nilgroup, "_series_to_coords", counting_read)
-    monkeypatch.setattr(harness, "descent_verdict", marking_verdict)
+    monkeypatch.setattr(harness, "sigma_sequence", marking_sequence)
     report = run_suite(SuiteConfig("proposition-sigma", rank=3, nil_class=3, trials=2, seed=11))
     assert report.passed
     assert len(marks) == 2 * 2 * 2
@@ -391,14 +418,16 @@ def _pair_loop_report(monkeypatch, name, wrong):
 
 
 def test_pair_loop_stops_at_first_descent_failure(monkeypatch):
-    from nilaut.sigma import NecessityVerdict
+    # at (2,2) a term 2 of depth 1 misses K_2
+    from nilaut.sigma import SigmaTrace
 
     descent, shadow = _pair_loop_report(
-        monkeypatch, "descent_verdict", lambda v: NecessityVerdict(False, v.trace, [2])
+        monkeypatch, "sigma_sequence", lambda trace: SigmaTrace(trace.terms, [0, 1, 1])
     )
     assert not descent["passed"] and descent["trials"] == 2
     assert descent["witness"]["theta_index"] == 0 and descent["witness"]["sigma_index"] == 1
     assert descent["witness"]["violations"] == [2]
+    assert descent["witness"]["depths"] == [0, 1, 1]
     assert shadow["passed"] and shadow["trials"] == 2 and shadow["witness"] is None
 
 
@@ -418,7 +447,7 @@ def test_pair_loop_draws_theta_per_row(monkeypatch):
     # theta t is drawn at the start of row t, so a run whose first pair
     # fails draws one theta
     from nilaut import harness
-    from nilaut.sigma import NecessityVerdict, SigmaTrace
+    from nilaut.sigma import SigmaTrace
 
     drawn = []
     real = harness.conjugated_symmetry
@@ -428,9 +457,7 @@ def test_pair_loop_draws_theta_per_row(monkeypatch):
         return real(ctx, rng)
 
     monkeypatch.setattr(harness, "conjugated_symmetry", counting)
-    monkeypatch.setattr(
-        harness, "descent_verdict", lambda sigma, phis: NecessityVerdict(False, SigmaTrace([], []), [1])
-    )
+    monkeypatch.setattr(harness, "sigma_sequence", lambda sigma, phis: SigmaTrace([], [0, 0]))
     report = run_suite(SuiteConfig("proposition-sigma", rank=3, nil_class=3, trials=4, seed=1))
     descent = _record(report, "necessity-descent")
     assert not descent["passed"] and descent["trials"] == 1

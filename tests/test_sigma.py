@@ -15,7 +15,7 @@ from nilaut.automorphisms import (
     k_depth,
     lift_matrix,
 )
-from nilaut.errors import DomainError, InputError, InternalError
+from nilaut.errors import DomainError, InputError, InternalError, SearchExhausted
 from nilaut.glz import IntMatrix, noncentral_sigma_walk
 from nilaut.harness import _jsonify
 from nilaut.nilgroup import GroupContext, generator
@@ -23,7 +23,7 @@ from nilaut.sampling import random_automorphism, symmetry_sample
 from nilaut.sigma import (
     _embed_block,
     check_involution,
-    descent_verdict,
+    SigmaTrace,
     find_nontrivial_witness,
     matrix_sigma_sequence,
     necessity_check,
@@ -41,7 +41,7 @@ SHEAR = IntMatrix([[1, 1], [0, 1]])
 def test_sigma_sequence_identity_input():
     theta = canonical_symmetry(CTX22)
     ident = identity_endomorphism(CTX22)
-    trace = sigma_sequence(ident, [theta, theta], 2)
+    trace = sigma_sequence(ident, [theta, theta])
     assert all(t == ident for t in trace.terms)
     assert trace.depths == [3, 3, 3]
 
@@ -51,7 +51,7 @@ def test_sigma_sequence_swap_collapses():
     # already lands on the identity
     theta = canonical_symmetry(CTX22)
     swap = lift_matrix(CTX22, SWAP)
-    trace = sigma_sequence(swap, [theta, theta], 2)
+    trace = sigma_sequence(swap, [theta, theta])
     assert trace.terms[1] == identity_endomorphism(CTX22)
     assert trace.terms[2] == identity_endomorphism(CTX22)
 
@@ -59,18 +59,18 @@ def test_sigma_sequence_swap_collapses():
 def test_sigma_sequence_matrix_shadow():
     sigma = lift_matrix(CTX22, SHEAR)
     phi = lift_matrix(CTX22, DIAG)
-    trace = sigma_sequence(sigma, [phi, phi], 2)
+    trace = sigma_sequence(sigma, [phi, phi])
     assert abelianization_matrix(trace.terms[1]) == IntMatrix([[1, -2], [0, 1]])
-    mats = matrix_sigma_sequence(SHEAR, [DIAG, DIAG], 2)
+    mats = matrix_sigma_sequence(SHEAR, [DIAG, DIAG])
     assert mats[1] == IntMatrix([[1, -2], [0, 1]])
     for term, mat in zip(trace.terms, mats):
         assert abelianization_matrix(term) == mat
 
-    # class 3, length 3: step m = 2 inverts a term built by the recursion
+    # class 3: step m = 2 inverts a term built by the recursion
     sigma = lift_matrix(CTX23, SHEAR)
     phis = [lift_matrix(CTX23, m) for m in (DIAG, SWAP, DIAG)]
-    trace = sigma_sequence(sigma, phis, 3)
-    mats = matrix_sigma_sequence(SHEAR, [DIAG, SWAP, DIAG], 3)
+    trace = sigma_sequence(sigma, phis)
+    mats = matrix_sigma_sequence(SHEAR, [DIAG, SWAP, DIAG])
     assert len(trace.terms) == len(mats) == 4
     for term, mat in zip(trace.terms, mats):
         assert abelianization_matrix(term) == mat
@@ -87,7 +87,7 @@ def test_sigma_sequence_steps_equal_left_associated_products(n, s):
     rng = random.Random(40 + 10 * n + s)
     sigma = random_automorphism(ctx, rng)
     phis = [random_automorphism(ctx, rng) for _ in range(s)]
-    trace = sigma_sequence(sigma, phis, s)
+    trace = sigma_sequence(sigma, phis)
     cur = sigma
     for m, phi in enumerate(phis):
         tail = invert_automorphism(cur) if m % 2 == 0 else cur
@@ -98,9 +98,33 @@ def test_sigma_sequence_steps_equal_left_associated_products(n, s):
 
 
 def test_sigma_sequence_validation():
-    sigma = lift_matrix(CTX22, SHEAR)
-    with pytest.raises(InputError):
-        sigma_sequence(sigma, [], 1)
+    # sigma_sequence takes s from the context and refuses any other count
+    # of phis; matrix_sigma_sequence runs one step per phi
+    for ctx in (CTX22, CTX23):
+        s = ctx.nilpotency_class
+        sigma = lift_matrix(ctx, SHEAR)
+        theta = canonical_symmetry(ctx)
+        for count in (0, s - 1, s + 1):
+            with pytest.raises(InputError, match="need %d conjugating automorphisms, got %d" % (s, count)):
+                sigma_sequence(sigma, [theta] * count)
+        trace = sigma_sequence(sigma, [theta] * s)
+        assert len(trace.terms) == len(trace.depths) == s + 1
+    for count in range(4):
+        mats = matrix_sigma_sequence(SHEAR, [DIAG] * count)
+        assert len(mats) == count + 1 and mats[0] == SHEAR
+
+
+def test_trace_violations_and_passed():
+    # term m must lie in K_m; at class 2 the identity has depth 3
+    assert SigmaTrace([], [0, 1, 3]).violations == []
+    assert SigmaTrace([], [0, 1, 3]).passed
+    assert SigmaTrace([], [0, 1, 1]).violations == [2]
+    assert not SigmaTrace([], [0, 1, 1]).passed
+    assert SigmaTrace([], [0, 0, 1]).violations == [1, 2]
+    assert SigmaTrace([], [2, 3, 3]).passed
+    # class 3: term 3 in K_3 is the identity, depth 4, never 3
+    assert SigmaTrace([], [0, 1, 2, 2]).violations == [3]
+    assert SigmaTrace([], [0, 2, 1, 4]).violations == [2]
 
 
 def test_necessity_for_canonical_symmetry():
@@ -110,11 +134,11 @@ def test_necessity_for_canonical_symmetry():
         for _ in range(6):
             sigma = random_automorphism(ctx, rng)
             conj = [random_automorphism(ctx, rng) for _ in range(ctx.nilpotency_class)]
-            verdict = necessity_check(theta, sigma, conj)
-            assert verdict.passed, verdict.violations
+            trace = necessity_check(theta, sigma, conj)
+            assert trace.passed, trace.violations
             for m in range(1, ctx.nilpotency_class + 1):
-                assert verdict.trace.depths[m] >= m
-            assert verdict.trace.terms[-1] == identity_endomorphism(ctx)
+                assert trace.depths[m] >= m
+            assert trace.terms[-1] == identity_endomorphism(ctx)
 
 
 def test_necessity_for_ia_composed_involution():
@@ -131,8 +155,7 @@ def test_necessity_for_ia_composed_involution():
 
 def test_necessity_trivial_sigma():
     theta = canonical_symmetry(CTX22)
-    verdict = necessity_check(theta, identity_endomorphism(CTX22), [theta, theta])
-    assert verdict.passed
+    assert necessity_check(theta, identity_endomorphism(CTX22), [theta, theta]).passed
 
 
 def test_necessity_rejects_non_involution():
@@ -153,7 +176,7 @@ def test_necessity_rejects_non_automorphism_conjugator():
         check_involution(sigma)
 
 
-def test_descent_verdict_is_the_per_pair_part_of_necessity_check():
+def test_sigma_sequence_is_the_per_pair_part_of_necessity_check():
     # hand-built phis: conjugates of theta by lifted matrices; the diagonal
     # lift is no symmetry modulo IA, so it gives failing verdicts too
     outcomes = set()
@@ -165,28 +188,28 @@ def test_descent_verdict_is_the_per_pair_part_of_necessity_check():
             phis = [compose(compose(c, theta), invert_automorphism(c)) for c in conj]
             for sigma in (lift_matrix(ctx, SHEAR), identity_endomorphism(ctx)):
                 full = necessity_check(theta, sigma, conj)
-                part = descent_verdict(sigma, phis)
+                part = sigma_sequence(sigma, phis)
                 assert part.passed == full.passed
                 assert part.violations == full.violations
-                assert part.trace.terms == full.trace.terms
-                assert part.trace.depths == full.trace.depths
+                assert part.terms == full.terms
+                assert part.depths == full.depths
                 outcomes.add(part.passed)
     assert outcomes == {True, False}
     # term 1 of the shear against the diagonal lift has abelianization
     # (1 -2; 0 1), so it misses K_1
     theta = lift_matrix(CTX22, DIAG)
-    verdict = descent_verdict(lift_matrix(CTX22, SHEAR), [theta, theta])
-    assert not verdict.passed and verdict.violations == [1]
-    assert verdict.trace.depths[1] == 0
+    trace = sigma_sequence(lift_matrix(CTX22, SHEAR), [theta, theta])
+    assert not trace.passed and trace.violations == [1]
+    assert trace.depths[1] == 0
 
 
-def _inverting_recursion(sigma, phis, length):
+def _inverting_recursion(sigma, phis):
     # reference: every even step forms cur^-1, the last one included
     terms = [sigma]
-    for m in range(length):
+    for m, phi in enumerate(phis):
         cur = terms[-1]
         tail = invert_automorphism(cur) if m % 2 == 0 else cur
-        terms.append(compose(compose(compose(phis[m], cur), phis[m]), tail))
+        terms.append(compose(compose(compose(phi, cur), phi), tail))
     return terms
 
 
@@ -208,16 +231,15 @@ def test_descent_verdict_terms_are_the_full_recursion(n, s):
     cases.append((generic[0], generic[1:]))
     passed = []
     for sigma, phis in cases:
-        verdict = descent_verdict(sigma, phis)
-        reference = _inverting_recursion(sigma, phis, s)
-        assert verdict.trace.terms == reference
-        assert sigma_sequence(sigma, phis, s).terms == reference
-        assert verdict.trace.depths == [k_depth(t) for t in reference]
+        trace = sigma_sequence(sigma, phis)
+        reference = _inverting_recursion(sigma, phis)
+        assert trace.terms == reference
+        assert trace.depths == [k_depth(t) for t in reference]
         expected = [m for m in range(1, s + 1) if k_depth(reference[m]) < m]
         if reference[s] != ident and s not in expected:
             expected.append(s)
-        assert verdict.violations == expected
-        passed.append(verdict.passed)
+        assert trace.violations == expected
+        passed.append(trace.passed)
     assert passed == [True] * (len(cases) - 1) + [False]
     assert reference[s] != ident
 
@@ -239,7 +261,7 @@ def test_witness_for_swap_lift():
     wit = find_nontrivial_witness(theta)
     assert wit is not None
     assert not wit.trace[-1].is_identity()
-    assert not abelianization_matrix(sigma_sequence(wit.sigma, wit.thetas, 2).terms[-1]).is_identity()
+    assert not abelianization_matrix(sigma_sequence(wit.sigma, wit.thetas).terms[-1]).is_identity()
 
 
 def test_witness_catalog_with_conjugates():
@@ -276,7 +298,7 @@ def test_witness_trace_is_the_abelianized_lifted_recursion(rank, cls):
         theta = conjugate(c, lift_matrix(ctx, _embed_block(base, rank)))
         wit = find_nontrivial_witness(theta)
         assert wit is not None and len(wit.trace) == cls + 1
-        lifted = sigma_sequence(wit.sigma, wit.thetas, cls).terms
+        lifted = sigma_sequence(wit.sigma, wit.thetas).terms
         assert [abelianization_matrix(t) for t in lifted] == wit.trace
         assert lifted[cls] != identity_endomorphism(ctx)
 
@@ -299,6 +321,17 @@ def test_no_witness_for_symmetries():
         assert find_nontrivial_witness(theta) is None
 
 
+def test_witness_walk_that_runs_out_is_a_search_error():
+    # None answers only an abelianization of -I; a walk that runs out of
+    # its m range proves nothing about the involution
+    with pytest.raises(SearchExhausted, match="no non-central successor"):
+        find_nontrivial_witness(lift_matrix(CTX22, DIAG), (0, 0))
+    assert find_nontrivial_witness(canonical_symmetry(CTX22), (0, 0)) is None
+    rng = random.Random(24)
+    for theta in symmetry_sample(CTX22, rng, conjugates=2, perturbed=1):
+        assert find_nontrivial_witness(theta, (0, 0)) is None
+
+
 def test_abelianization_commutes_with_recursion():
     rng = random.Random(25)
     ctx = CTX23
@@ -306,17 +339,15 @@ def test_abelianization_commutes_with_recursion():
     for _ in range(5):
         sigma = random_automorphism(ctx, rng)
         conj = [random_automorphism(ctx, rng) for _ in range(ctx.nilpotency_class)]
-        verdict = necessity_check(theta, sigma, conj)
+        trace = necessity_check(theta, sigma, conj)
         phi_mats = [
             abelianization_matrix(c)
             @ abelianization_matrix(theta)
             @ abelianization_matrix(c).inverse_unimodular()
             for c in conj
         ]
-        mats = matrix_sigma_sequence(
-            abelianization_matrix(sigma), phi_mats, ctx.nilpotency_class
-        )
-        for term, mat in zip(verdict.trace.terms, mats):
+        mats = matrix_sigma_sequence(abelianization_matrix(sigma), phi_mats)
+        for term, mat in zip(trace.terms, mats):
             assert abelianization_matrix(term) == mat
 
 
@@ -324,7 +355,7 @@ def test_abelianization_commutes_with_recursion():
 def test_trace_serialization():
     # reports write a trace as its terms' generator images and its depths
     theta = canonical_symmetry(CTX22)
-    trace = sigma_sequence(identity_endomorphism(CTX22), [theta, theta], 2)
+    trace = sigma_sequence(identity_endomorphism(CTX22), [theta, theta])
     data = _jsonify(trace)
     assert data["depths"] == [3, 3, 3]
     assert data["terms"][0] == {"x1": "x1", "x2": "x2"}
