@@ -511,7 +511,6 @@ def xy_matrices(s: IntMatrix, m: int, parity: str):
 @dataclass(frozen=True)
 class SuccessorRecord:
     m: int
-    parity: str
     orientation: str
     mode: str
     matrix: IntMatrix
@@ -587,9 +586,9 @@ def _walk(s0: IntMatrix, steps: int, parity: str, m_range, p):
                 else "no certified non-central successor at step %d" % k
             )
         mode = "X" if k % 2 else "Y"
-        records.append(SuccessorRecord(m, parity, orientation, mode, IntMatrix._trusted(cand)))
+        records.append(SuccessorRecord(m, orientation, mode, IntMatrix._trusted(cand)))
         cur, det = cand, 1
-    return [rec.matrix for rec in records], records
+    return records
 
 
 def noncentral_sigma_walk(s0: IntMatrix, steps: int, parity: str = "even", m_range=(-5, 5)):
@@ -597,7 +596,8 @@ def noncentral_sigma_walk(s0: IntMatrix, steps: int, parity: str = "even", m_ran
 
     Step k applies sigma -> J sigma J sigma^(e) with e = -1 for even k and
     +1 for odd k, choosing per step a family involution that keeps the
-    result non-central.  Returns (matrices, records) for reproducibility.
+    result non-central.  Returns one SuccessorRecord per step: the chosen
+    m, orientation and mode, and the term.
     """
     return _walk(s0, steps, parity, m_range, None)
 
@@ -616,7 +616,7 @@ def noncentral_walk_certificate(
     reduction of a central matrix is central, hence every term whose
     residue matrix is non-central is proven non-central.  Step choices follow the same
     search order as noncentral_sigma_walk and the records have the same
-    shape, with residue matrices in place of exact ones.
+    fields, with residue matrices in place of exact ones.
     """
     return _walk(s0, steps, parity, m_range, WALK_CERT_MODULUS)
 
@@ -721,20 +721,6 @@ def order3_falsifier(mat: IntMatrix, samples: int, rng):
     return None
 
 
-@dataclass(frozen=True)
-class InvariantSplitting:
-    """A rank-2 invariant summand with non-central restriction.
-
-    frame columns list an adapted basis (the two B vectors first); the
-    restriction is the action on those two columns.
-    """
-
-    b: Sublattice
-    c: Sublattice
-    restriction: IntMatrix
-    frame: IntMatrix
-
-
 def _primitive_part(vec):
     g = 0
     for x in vec:
@@ -742,8 +728,12 @@ def _primitive_part(vec):
     return g, tuple(x // g for x in vec)
 
 
-def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
+def invariant_splitting(f: IntMatrix):
     """Split Z^n into invariant B (+) C with rank B == 2 and f|_B non-central.
+
+    Returns (restriction, frame): the frame's columns list an adapted basis,
+    the two B vectors first, and the restriction is f's action on those two
+    columns, DIAG_REP or SWAP_REP.
 
     Diagonalizable involutions pair one fixed with one negated basis vector.
     Otherwise Fix (+) Neg has index 2^r in Z^n with r >= 1, and x0 is the
@@ -790,22 +780,17 @@ def invariant_splitting(f: IntMatrix) -> InvariantSplitting:
         b_rows = [x, fx]
         c_rows = kernel_basis(IntMatrix([list(lam), list(mu)]))
         restriction = SWAP_REP
-    split = InvariantSplitting(
-        Sublattice(n, b_rows),
-        Sublattice(n, c_rows),
-        restriction,
-        IntMatrix(b_rows + c_rows).transpose(),
-    )
+    frame = IntMatrix(b_rows + c_rows).transpose()
     # the frame must be a basis adapted to the splitting
     try:
-        finv = split.frame.inverse_unimodular()
+        finv = frame.inverse_unimodular()
     except DomainError as exc:
         raise InternalError("splitting frame is not unimodular") from exc
-    blocked = finv @ f @ split.frame
+    blocked = finv @ f @ frame
     for i in range(2):
         for j in range(2, n):
             if blocked.rows[i][j] != 0 or blocked.rows[j][i] != 0:
                 raise InternalError("involution is not block diagonal in the splitting frame")
-    if IntMatrix([r[:2] for r in blocked.rows[:2]]) != split.restriction:
+    if IntMatrix([r[:2] for r in blocked.rows[:2]]) != restriction:
         raise InternalError("splitting restriction disagrees with the frame")
-    return split
+    return restriction, frame

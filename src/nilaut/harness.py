@@ -89,6 +89,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+DEFAULT_M_RANGE = (-5, 5)  # the family parameter range of every suite but eq-2
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -103,7 +106,7 @@ class SuiteConfig:
             raise InputError("unknown suite %r" % (self.suite,))
         entry = _SUITES[self.suite]
         trials = self.trials if self.trials is not None else entry["trials"]
-        m_range = self.m_range if self.m_range is not None else entry["m_range"]
+        m_range = self.m_range if self.m_range is not None else entry.get("m_range", DEFAULT_M_RANGE)
         for name, value in (
             ("rank", self.rank), ("class", self.nil_class), ("trials", trials), ("seed", self.seed)
         ):
@@ -329,10 +332,11 @@ def _suite_group_axioms(cfg, rec):
     )
 
 
-def _theta_pool(cfg, ctx):
-    rng = _trial_rng(cfg.seed, cfg.suite, "theta-pool")
+def _theta_pool(cfg, ctx, label, conjugates):
+    # the canonical symmetry, then conjugates drawn from the (seed, suite, label) generator
+    rng = _trial_rng(cfg.seed, cfg.suite, label)
     pool = [canonical_symmetry(ctx)]
-    for _ in range(20):
+    for _ in range(conjugates):
         pool.append(conjugated_symmetry(ctx, rng))
     return pool
 
@@ -340,7 +344,7 @@ def _theta_pool(cfg, ctx):
 def _suite_lemma_22(cfg, rec):
     ctx = GroupContext.get(cfg.rank, cfg.nil_class)
     s = cfg.nil_class
-    thetas = _theta_pool(cfg, ctx)
+    thetas = _theta_pool(cfg, ctx, "theta-pool", 20)
 
     for m in range(1, s + 1):
 
@@ -502,18 +506,13 @@ def _suite_proposition_sigma(cfg, rec):
                 and wit.trace[1] == IntMatrix([[1, -2], [0, 1]])
                 and wit.trace[2] == IntMatrix([[-3, 8], [-8, 21]])
             )
-            rec.add(
-                "frozen-witness-trace",
+            _check(
+                rec, "frozen-witness-trace",
                 "the witness for the diagonal involution lift reproduces the recursion shadow (1 -2; 0 1) then (-3 8; -8 21)",
-                ok,
-                1,
-                witness=None if ok else {"witness": wit},
+                [None if ok else {"witness": wit}],
             )
 
-        rng_sym = _trial_rng(cfg.seed, cfg.suite, "no-witness")
-        sym_pool = [canonical_symmetry(ctx)] + [
-            conjugated_symmetry(ctx, rng_sym) for _ in range(4)
-        ]
+        sym_pool = _theta_pool(cfg, ctx, "no-witness", 4)
         _check(
             rec, "no-witness-for-symmetries",
             "the witness search returns nothing for exact symmetries and their conjugates",
@@ -614,17 +613,16 @@ def _suite_xy_linearity(cfg, rec):
 def _suite_walk(cfg, rec):
     def walk(rng, t):
         s0 = _sample_noncentral(rng)
-        mats, recs = noncentral_walk_certificate(s0, 50, m_range=cfg.m_range)
-        if any(m.is_central() for m in mats):
+        recs = noncentral_walk_certificate(s0, 50, m_range=cfg.m_range)
+        if any(r.matrix.is_central() for r in recs):
             return {"trial": t, "seed_matrix": s0}
         if t < 10:
-            exact_mats, exact_recs = noncentral_sigma_walk(s0, 8, m_range=cfg.m_range)
-            for em, er, cm, cr in zip(exact_mats, exact_recs, mats, recs):
+            for er, cr in zip(noncentral_sigma_walk(s0, 8, m_range=cfg.m_range), recs):
                 if (er.m, er.orientation, er.mode) != (cr.m, cr.orientation, cr.mode):
                     return {"trial": t, "seed_matrix": s0, "mismatch": "choices"}
                 if any(
                     e % glz.WALK_CERT_MODULUS != c
-                    for erow, crow in zip(em.rows, cm.rows)
+                    for erow, crow in zip(er.matrix.rows, cr.matrix.rows)
                     for e, c in zip(erow, crow)
                 ):
                     return {"trial": t, "seed_matrix": s0, "mismatch": "residues"}
@@ -735,19 +733,27 @@ def _suite_interp_m(cfg, rec):
 
     rng = _trial_rng(cfg.seed, cfg.suite, "structure")
     st = build_structure_M(cfg.rank, rng)
-    ok = all(is_direct_summand(s_) for s_ in st.summands)
-    ok = ok and all(st.summands[j].contains(st.vectors[i]) for i, j in st.membership)
-    ok = ok and all(relation_R(st.summands[i], st.summands[j]) for i, j in st.complement_pairs)
-    ok = ok and all(st.summands[i].is_subset(st.summands[j]) for i, j in st.inclusion)
-    ok = ok and all(
-        tuple(st.automorphisms[mi] @ st.vectors[vi]) == st.vectors[ri]
-        for mi, vi, ri in st.action
-    )
-    rec.add(
-        "structure-relations",
+    summands, vectors, mats = st.summands, st.vectors, st.automorphisms
+
+    def relations():
+        # one case per stored tuple; a failure names its relation and tuple
+        for i, lat in enumerate(summands):
+            yield None if is_direct_summand(lat) else {"relation": "summand", "tuple": [i]}
+        for i, j in st.membership:
+            yield None if summands[j].contains(vectors[i]) else {"relation": "membership", "tuple": [i, j]}
+        for i, j in st.complement_pairs:
+            yield None if relation_R(summands[i], summands[j]) else {"relation": "complement", "tuple": [i, j]}
+        for i, j in st.inclusion:
+            yield None if summands[i].is_subset(summands[j]) else {"relation": "inclusion", "tuple": [i, j]}
+        for mi, vi, ri in st.action:
+            ok = tuple(mats[mi] @ vectors[vi]) == vectors[ri]
+            yield None if ok else {"relation": "action", "tuple": [mi, vi, ri]}
+
+    _check(
+        rec, "structure-relations",
         "every stored relation tuple of the sampled multi-sorted structure re-verifies: membership, inclusion, complementarity and the action",
-        ok,
-        len(st.membership) + len(st.inclusion) + len(st.complement_pairs) + len(st.action),
+        relations(),
+        trials=len(st.membership) + len(st.inclusion) + len(st.complement_pairs) + len(st.action),
         certificate={"sampling": st.sampling, "summands": len(st.summands)},
     )
 
@@ -873,26 +879,22 @@ _SUITES = {
     "group-axioms": {
         "fn": _suite_group_axioms,
         "trials": 500,
-        "m_range": (-5, 5),
         "statement": "group axioms, the weight filtration, central top layer, class-2 closed form, projection and collection homomorphisms",
     },
     "lemma-2.2": {
         "fn": _suite_lemma_22,
         "trials": 200,
-        "m_range": (-5, 5),
         "statement": "parity action of symmetries on the weight layers and on the kernel-filtration layers",
     },
     "lemma-2.1": {
         "fn": _suite_lemma_21,
         "trials": 200,
-        "m_range": (-5, 5),
         "statement": "abelianization-trivial automorphisms commute with each kernel layer modulo the next",
         "validate": _require_class_3,
     },
     "proposition-sigma": {
         "fn": _suite_proposition_sigma,
         "trials": 50,
-        "m_range": (-5, 5),
         "statement": "descent of the alternating conjugation recursion for symmetries modulo trivial-abelianization factors, plus constructed refutation witnesses for the non-members",
     },
     "eq-2": {
@@ -904,38 +906,32 @@ _SUITES = {
     "xy-linearity": {
         "fn": _suite_xy_linearity,
         "trials": 100,
-        "m_range": (-5, 5),
         "statement": "a tracked entry of the parametrized conjugation products depends linearly and non-constantly on the parameter",
     },
     "walk": {
         "fn": _suite_walk,
         "trials": 100,
-        "m_range": (-5, 5),
         "statement": "fifty-step non-central trajectories of the alternating recursion exist from every sampled non-central start",
     },
     "one-step-down": {
         "fn": _suite_one_step_down,
         "trials": 200,
-        "m_range": (-5, 5),
         "statement": "the next-to-last kernel layer is exactly the automorphisms fixed or inverted by all symmetries modulo trivial-abelianization factors, and generator conjugations factor as two symmetries",
         "validate": _require_class_2_plus,
     },
     "interp-M": {
         "fn": _suite_interp_m,
         "trials": 500,
-        "m_range": (-5, 5),
         "statement": "direct-summand machinery: brute-force agreement, verified sampled structure relations, and the order-3 falsifier versus diagonalizability",
     },
     "ring-Z": {
         "fn": _suite_ring_z,
         "trials": 20,
-        "m_range": (-5, 5),
         "statement": "the unipotent matrix encoding of the integers reproduces ring arithmetic",
     },
     "endo-graph": {
         "fn": _suite_endo_graph,
         "trials": 100,
-        "m_range": (-5, 5),
         "statement": "endomorphisms of a summand encode as graph summands: complementarity, decoding, and semantic composition",
     },
 }

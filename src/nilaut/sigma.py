@@ -79,7 +79,6 @@ class Witness:
     theta: Endomorphism
     conjugators: list
     trace: list  # IntMatrix, the abelianized terms 0 .. s of the recursion
-    walk_parameters: list
 
     @property
     def thetas(self):
@@ -192,21 +191,20 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
         # impossible for an involution since the kernel filtration layers
         # are torsion free.
         return None
-    split = invariant_splitting(amat)
-    frame = split.frame
+    restriction, frame = invariant_splitting(amat)
     frame_inv = frame.inverse_unimodular()
     # the restriction is DIAG_REP or SWAP_REP, which classify_involution2
     # conjugates by the identity, so p_i alone carries it to walk member i
-    cls = InvolutionClass.DIAGONAL if split.restriction == DIAG_REP else InvolutionClass.SWAP
+    cls = InvolutionClass.DIAGONAL if restriction == DIAG_REP else InvolutionClass.SWAP
     parity = "even" if cls is InvolutionClass.DIAGONAL else "odd"
     seed2 = IntMatrix([[1, 1], [0, 1]])
-    walk_mats, walk_recs = noncentral_sigma_walk(seed2, s, parity, m_range)
+    walk = noncentral_sigma_walk(seed2, s, parity, m_range)
     n = ctx.rank
     sigma = lift_matrix(ctx, frame @ _embed_block(seed2, n) @ frame_inv)
     ab_thetas = []
     conjugators = []
-    for rec in walk_recs:
-        t_i = _family_matrix(rec.parity, rec.m, rec.orientation)
+    for rec in walk:
+        t_i = _family_matrix(parity, rec.m, rec.orientation)
         cls_i, p_i = classify_involution2(t_i)
         if cls_i is not cls:
             raise InternalError("walk family member left the involution class")
@@ -215,13 +213,7 @@ def find_nontrivial_witness(theta: Endomorphism, m_range=(-5, 5)):
         conjugators.append(lift_matrix(ctx, r_i))
         ab_thetas.append(r_i @ amat @ r_i.inverse_unimodular())
     trace = matrix_sigma_sequence(abelianization_matrix(sigma), ab_thetas)
-    if trace[s] != frame @ _embed_block(walk_mats[-1], n) @ frame_inv:
+    if trace[s] != frame @ _embed_block(walk[-1].matrix, n) @ frame_inv:
         raise InternalError("abelianized trace disagrees with the matrix walk")
-    return Witness(
-        sigma=sigma,
-        theta=theta,
-        conjugators=conjugators,
-        trace=trace,
-        walk_parameters=[(r.m, r.parity, r.orientation, r.mode) for r in walk_recs],
-    )
+    return Witness(sigma=sigma, theta=theta, conjugators=conjugators, trace=trace)
 

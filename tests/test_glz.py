@@ -289,13 +289,12 @@ def test_xy_linearity_tracked_entry():
 def _both_walks(s0, steps, parity="even", m_range=(-5, 5)):
     # the exact and the certificate walk make the same choices, and the
     # certificate's matrices are the exact ones reduced mod p
-    mats, recs = noncentral_sigma_walk(s0, steps, parity, m_range)
-    cert_mats, cert_recs = noncentral_walk_certificate(s0, steps, parity, m_range)
+    recs = noncentral_sigma_walk(s0, steps, parity, m_range)
+    cert_recs = noncentral_walk_certificate(s0, steps, parity, m_range)
     p = WALK_CERT_MODULUS
     for er, cr in zip(recs, cert_recs, strict=True):
-        assert (er.m, er.parity, er.orientation, er.mode) == (cr.m, cr.parity, cr.orientation, cr.mode)
+        assert (er.m, er.orientation, er.mode) == (cr.m, cr.orientation, cr.mode)
         assert cr.matrix == IntMatrix([[x % p for x in row] for row in er.matrix.rows])
-    assert mats == [r.matrix for r in recs] and cert_mats == [r.matrix for r in cert_recs]
     return recs
 
 
@@ -342,7 +341,7 @@ def test_walk_skips_a_central_lower_family(monkeypatch):
         counts = []
         for m_range in ((-5, 5), (-200000, 200000)):
             calls.clear()
-            _, recs = walk(s0, 2, "even", m_range)
+            recs = walk(s0, 2, "even", m_range)
             assert [(r.m, r.orientation, r.mode) for r in recs] == [(0, "lower", "Y"), (1, "upper", "X")]
             counts.append(len(calls))
         assert counts == [3, 3]
@@ -426,12 +425,11 @@ def test_search_order_is_lazy():
 
 
 def test_walk():
-    mats, recs = noncentral_sigma_walk(M((1, 1), (0, 1)), 5)
-    assert len(mats) == 5 and len(recs) == 5
-    assert all(not m.is_central() for m in mats)
-    mats, recs = noncentral_sigma_walk(SWAP_REP, 1)
-    assert mats == [M((-1, 2), (-2, 3))]
-    assert noncentral_sigma_walk(SWAP_REP, 0) == ([], [])
+    recs = noncentral_sigma_walk(M((1, 1), (0, 1)), 5)
+    assert len(recs) == 5
+    assert all(not r.matrix.is_central() for r in recs)
+    assert [r.matrix for r in noncentral_sigma_walk(SWAP_REP, 1)] == [M((-1, 2), (-2, 3))]
+    assert noncentral_sigma_walk(SWAP_REP, 0) == []
 
 
 def test_walk_certificate_matches_exact_prefix():
@@ -451,13 +449,15 @@ def test_walk_certificate_matches_exact_prefix():
             s0 = random_unimodular(rng, 2)
             if s0.is_central():
                 continue
-            exact_mats, exact_recs = noncentral_sigma_walk(s0, 10, parity, m_range)
-            cert_mats, cert_recs = noncentral_walk_certificate(s0, 10, parity, m_range)
-            for em, cm, er, cr in zip(exact_mats, cert_mats, exact_recs, cert_recs):
-                assert (er.m, er.parity, er.orientation, er.mode) == (cr.m, cr.parity, cr.orientation, cr.mode)
+            exact_recs = noncentral_sigma_walk(s0, 10, parity, m_range)
+            cert_recs = noncentral_walk_certificate(s0, 10, parity, m_range)
+            for er, cr in zip(exact_recs, cert_recs):
+                assert (er.m, er.orientation, er.mode) == (cr.m, cr.orientation, cr.mode)
                 assert m_range[0] <= er.m <= m_range[1]
                 assert all(
-                    e % p == c for erow, crow in zip(em.rows, cm.rows) for e, c in zip(erow, crow)
+                    e % p == c
+                    for erow, crow in zip(er.matrix.rows, cr.matrix.rows)
+                    for e, c in zip(erow, crow)
                 )
 
 
@@ -467,9 +467,9 @@ def test_walk_certificate_long():
         s0 = random_unimodular(rng, 2)
         if s0.is_central():
             continue
-        mats, recs = noncentral_walk_certificate(s0, 50)
-        assert len(mats) == 50
-        assert all(not m.is_central() for m in mats)
+        recs = noncentral_walk_certificate(s0, 50)
+        assert len(recs) == 50
+        assert all(not r.matrix.is_central() for r in recs)
 
 
 def test_smith_normal_form():
@@ -906,46 +906,49 @@ def test_random_unimodular_keeps_its_draw_sequence():
                 assert got_rng.getstate() == want_rng.getstate()
 
 
-def _check_splitting(f, split):
+def _check_splitting(f, restriction, frame):
+    # B and C are spanned by the frame's first two and its other columns
     n = f.nrows
-    assert split.b.rank == 2
-    assert relation_R(split.b, split.c)
-    for row in split.b.basis:
-        assert split.b.contains(f @ row)
-    for row in split.c.basis:
-        assert split.c.contains(f @ row)
-    assert not split.restriction.is_central()
-    assert (split.restriction @ split.restriction).is_identity()
+    cols = frame.transpose().rows
+    b, c = Sublattice(n, cols[:2]), Sublattice(n, cols[2:])
+    assert b.rank == 2
+    assert relation_R(b, c)
+    for row in b.basis:
+        assert b.contains(f @ row)
+    for row in c.basis:
+        assert c.contains(f @ row)
+    assert not restriction.is_central()
+    assert (restriction @ restriction).is_identity()
+    return b, c
 
 
 def test_invariant_splitting_examples():
-    split = invariant_splitting(DIAG_REP)
-    assert split.b == Sublattice(2, [(1, 0), (0, 1)])
-    assert split.c.rank == 0
-    _check_splitting(DIAG_REP, split)
+    restriction, frame = invariant_splitting(DIAG_REP)
+    b, c = _check_splitting(DIAG_REP, restriction, frame)
+    assert b == Sublattice(2, [(1, 0), (0, 1)])
+    assert c.rank == 0
 
     f = M((1, 0, 0), (0, 1, 0), (0, 0, -1))
-    split = invariant_splitting(f)
-    assert split.b == Sublattice(3, [(1, 0, 0), (0, 0, 1)])
-    assert split.c == Sublattice(3, [(0, 1, 0)])
-    assert split.restriction == DIAG_REP
-    _check_splitting(f, split)
+    restriction, frame = invariant_splitting(f)
+    b, c = _check_splitting(f, restriction, frame)
+    assert b == Sublattice(3, [(1, 0, 0), (0, 0, 1)])
+    assert c == Sublattice(3, [(0, 1, 0)])
+    assert restriction == DIAG_REP
 
     f = M((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    split = invariant_splitting(f)
-    assert split.b == Sublattice(3, [(1, 0, 0), (0, 1, 0)])
-    assert split.c == Sublattice(3, [(0, 0, 1)])
-    assert split.restriction == SWAP_REP
-    _check_splitting(f, split)
+    restriction, frame = invariant_splitting(f)
+    b, c = _check_splitting(f, restriction, frame)
+    assert b == Sublattice(3, [(1, 0, 0), (0, 1, 0)])
+    assert c == Sublattice(3, [(0, 0, 1)])
+    assert restriction == SWAP_REP
 
     # x0 = e1 lies outside Fix (+) Neg and is already the x of the swap
     # plane, with f x = e2; the functional lambda = e1* takes x to 1 and
     # f x to 0, and C is the common kernel of lambda and lambda f = (0, 1, 1)
     f = M((0, 1, 1), (1, 0, -1), (0, 0, 1))
-    split = invariant_splitting(f)
-    assert split.b == Sublattice(3, [(1, 0, 0), (0, 1, 0)])
-    assert split.c == Sublattice(3, [(0, 1, -1)])
-    _check_splitting(f, split)
+    b, c = _check_splitting(f, *invariant_splitting(f))
+    assert b == Sublattice(3, [(1, 0, 0), (0, 1, 0)])
+    assert c == Sublattice(3, [(0, 1, -1)])
 
 
 def test_invariant_splitting_refuses_a_frame_that_is_not_a_basis(monkeypatch):
@@ -973,7 +976,7 @@ def test_invariant_splitting_random_conjugates():
         for _ in range(10):
             q = random_unimodular(rng, 3)
             f = q @ f0 @ q.inverse_unimodular()
-            _check_splitting(f, invariant_splitting(f))
+            _check_splitting(f, *invariant_splitting(f))
     # one to three swap blocks, the other diagonal entries +-1 at random
     for n in range(2, 7):
         for blocks in range(1, min(3, n // 2) + 1):
@@ -985,8 +988,8 @@ def test_invariant_splitting_random_conjugates():
                     rows[i][i] = rng.choice((1, -1))
                 q = random_unimodular(rng, n)
                 f = q @ IntMatrix(rows) @ q.inverse_unimodular()
-                split = invariant_splitting(f)
-                _check_splitting(f, split)
-                assert split.restriction == SWAP_REP
+                restriction, frame = invariant_splitting(f)
+                _check_splitting(f, restriction, frame)
+                assert restriction == SWAP_REP
     with pytest.raises(DomainError):
         invariant_splitting(IntMatrix.identity(2))

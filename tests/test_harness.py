@@ -281,7 +281,7 @@ def test_commutator_checks_fail_for_generic_automorphisms(monkeypatch):
 
     pool = [random_automorphism(harness.GroupContext.get(3, 3), random.Random(k)) for k in range(3)]
     monkeypatch.setattr(harness, "random_ia", lambda ctx, rng: pool[rng.randrange(3)])
-    monkeypatch.setattr(harness, "_theta_pool", lambda cfg, ctx: pool)
+    monkeypatch.setattr(harness, "_theta_pool", lambda cfg, ctx, label, conjugates: pool)
     verdicts = {}
     for suite in ("lemma-2.1", "lemma-2.2"):
         report = run_suite(SuiteConfig(suite, rank=3, nil_class=3, trials=3, seed=11))
@@ -396,6 +396,32 @@ def test_falsifier_catalogue_stops_before_the_swap_side(monkeypatch):
     assert set(check["witness"]) == {"catalog", "index", "matrix"}
     assert check["certificate"] == {"diag_catalog": 6, "swap_catalog": 6}
     assert len(_cases_before(log, "diagonalizability-vs-order3")) == 2
+
+
+def test_structure_relations_name_the_failing_tuple(monkeypatch):
+    # one false action tuple appended after the true ones fails the check
+    # with that tuple as its witness; trials and certificate are unchanged
+    from nilaut import harness
+
+    real = harness.build_structure_M
+    added = []
+
+    def with_false_action(rank, rng):
+        st = real(rank, rng)
+        image = tuple(st.automorphisms[0] @ st.vectors[0])
+        ri = next(i for i, v in enumerate(st.vectors) if v != image)
+        added.append([0, 0, ri])
+        st.action.append((0, 0, ri))
+        return st
+
+    base = _record(run_suite(SuiteConfig("interp-M", rank=2, trials=60, seed=11)), "structure-relations")
+    monkeypatch.setattr(harness, "build_structure_M", with_false_action)
+    report = run_suite(SuiteConfig("interp-M", rank=2, trials=60, seed=11))
+    check = _record(report, "structure-relations")
+    assert base["passed"] and not check["passed"] and not report.passed
+    assert check["witness"] == {"relation": "action", "tuple": added[0]}
+    assert check["trials"] == base["trials"] + 1
+    assert check["certificate"] == base["certificate"]
 
 
 def _pair_loop_report(monkeypatch, name, wrong):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -305,8 +306,8 @@ def test_witness_trace_is_the_abelianized_lifted_recursion(rank, cls):
 
 def test_witness_mismatch_with_the_walk_is_an_internal_error(monkeypatch):
     def tampered_walk(*args):
-        mats, recs = noncentral_sigma_walk(*args)
-        return mats[:-1] + [-mats[-1]], recs
+        recs = noncentral_sigma_walk(*args)
+        return recs[:-1] + [replace(recs[-1], matrix=-recs[-1].matrix)]
 
     monkeypatch.setattr(nilaut.sigma, "noncentral_sigma_walk", tampered_walk)
     with pytest.raises(InternalError, match="abelianized trace disagrees with the matrix walk"):
