@@ -1,13 +1,14 @@
 """Command line entry point.
 
 Exit codes: 0 all checks passed, 1 a property failed, 2 usage error,
-3 internal or search error.
+3 internal or search error; a closed stdout changes none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import DomainError, InputError, SearchExhausted
@@ -81,18 +82,29 @@ def _config_from_args(args) -> SuiteConfig:
     return SuiteConfig(**merged)
 
 
-def _print_summary(report: Report, out) -> None:
+def _summary(report: Report) -> str:
     cfg = report.config
-    print(
+    lines = [
         "suite %s (rank %d, class %d, trials %d, seed %d)"
-        % (cfg["suite"], cfg["rank"], cfg["class"], cfg["trials"], cfg["seed"]),
-        file=out,
-    )
+        % (cfg["suite"], cfg["rank"], cfg["class"], cfg["trials"], cfg["seed"])
+    ]
     for check in report.checks:
         mark = "PASS" if check["passed"] else "FAIL"
-        print("  [%s] %s (%d trials)" % (mark, check["name"], check["trials"]), file=out)
+        lines.append("  [%s] %s (%d trials)" % (mark, check["name"], check["trials"]))
     verdict = "all checks passed" if report.passed else "FAILURES PRESENT"
-    print("%s in %.2fs" % (verdict, report.wall_clock_seconds), file=out)
+    lines.append("%s in %.2fs" % (verdict, report.wall_clock_seconds))
+    return "\n".join(lines)
+
+
+def _print(text: str, code: int) -> int:
+    """Print text and return code; a closed stdout is not a failed property."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python docs' recipe: the interpreter's final flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def main(argv=None) -> int:
@@ -101,9 +113,8 @@ def main(argv=None) -> int:
 
     if args.command == "list-suites":
         width = max(len(name) for name, _ in suite_table())
-        for name, statement in suite_table():
-            print("%-*s  %s" % (width, name, statement))
-        return 0
+        rows = ("%-*s  %s" % (width, name, statement) for name, statement in suite_table())
+        return _print("\n".join(rows), 0)
 
     try:
         report = run_suite(_config_from_args(args))
@@ -125,8 +136,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print("i/o error: %s" % exc, file=sys.stderr)
             return INTERNAL_ERROR
-    _print_summary(report, sys.stdout)
-    return 0 if report.passed else FAILURE
+    return _print(_summary(report), 0 if report.passed else FAILURE)
 
 
 if __name__ == "__main__":

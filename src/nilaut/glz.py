@@ -654,12 +654,13 @@ def _random_shears(rng, n: int, min_factors: int, max_factors: int, bound: int):
     """
     out = [[int(a == b) for b in range(n)] for a in range(n)]
     inv = [row[:] for row in out]
+    values = [x for x in range(-bound, bound + 1) if x]
     for _ in range(rng.randint(min_factors, max_factors)):
         i = rng.randrange(n)
         j = rng.randrange(n)
         while j == i:
             j = rng.randrange(n)
-        k = rng.choice([x for x in range(-bound, bound + 1) if x])
+        k = rng.choice(values)
         # right multiplication by I + k E_ij adds k times column i to column j
         for row in out:
             row[j] += k * row[i]
@@ -695,19 +696,21 @@ def order3_falsifier(mat: IntMatrix, samples: int, rng):
     and q.  A non-central involution of Z^2 has eigenvalues 1 and -1, so
     both factors have det -1 and the product det 1; by Cayley-Hamilton a
     det-1 matrix in GL(2,Z) has order three exactly when its trace is -1.
-    Only on a hit are g, h, a, b and their product built and checked.
+    That trace is formed on row tuples; only on a hit are g, h, a, b and
+    their product built as matrices and checked.
     """
     if mat.nrows != 2 or mat.ncols != 2:
         raise InputError("falsifier expects a 2x2 matrix")
     cls, frame = classify_involution2(mat)
     if cls in (InvolutionClass.PLUS_IDENTITY, InvolutionClass.MINUS_IDENTITY):
         raise DomainError("falsifier needs a non-central involution")
-    rep = _CLASS_REPS[cls]
+    rep = _CLASS_REPS[cls].rows
     for _ in range(samples):
         r, r_inv = _random_shears(rng, 2, 1, 6, 2)
         q, q_inv = _random_shears(rng, 2, 1, 6, 2)
-        x = r @ rep @ r_inv @ q @ rep @ q_inv
-        if x.rows[0][0] + x.rows[1][1] != -1:
+        (a0, a1), (a2, a3) = _mul2(_mul2(r.rows, rep, None), r_inv.rows, None)
+        (b0, b1), (b2, b3) = _mul2(_mul2(q.rows, rep, None), q_inv.rows, None)
+        if a0 * b0 + a1 * b2 + a2 * b1 + a3 * b3 != -1:
             continue
         frame_inv = frame.inverse_unimodular()
         g = frame @ r @ frame_inv

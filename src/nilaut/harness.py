@@ -745,15 +745,15 @@ def _suite_interp_m(cfg, rec):
             yield None if relation_R(summands[i], summands[j]) else {"relation": "complement", "tuple": [i, j]}
         for i, j in st.inclusion:
             yield None if summands[i].is_subset(summands[j]) else {"relation": "inclusion", "tuple": [i, j]}
-        for mi, vi, ri in st.action:
-            ok = tuple(mats[mi] @ vectors[vi]) == vectors[ri]
+        for mi, vi, ri in st.action_triples():
+            ok = mats[mi] @ vectors[vi] == vectors[ri]
             yield None if ok else {"relation": "action", "tuple": [mi, vi, ri]}
 
     _check(
         rec, "structure-relations",
         "every stored relation tuple of the sampled multi-sorted structure re-verifies: membership, inclusion, complementarity and the action",
         relations(),
-        trials=len(st.membership) + len(st.inclusion) + len(st.complement_pairs) + len(st.action),
+        trials=len(st.membership) + len(st.inclusion) + len(st.complement_pairs) + sum(1 for _ in st.action_triples()),
         certificate={"sampling": st.sampling, "summands": len(st.summands)},
     )
 

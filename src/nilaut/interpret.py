@@ -124,8 +124,15 @@ class StructureM:
     membership: list  # (vector index, summand index) verified pairs
     inclusion: list  # (summand i, summand j) with i contained in j
     complement_pairs: list  # (i, j) with ambient = D_i (+) D_j
-    action: list  # (matrix index, vector index, result vector index)
+    action: list  # per matrix, the sort position of its image of each vector, or -1
     sampling: dict
+
+    def action_triples(self):
+        """The action as (matrix index, vector index, result vector index) triples."""
+        for mi, images in enumerate(self.action):
+            for vi, ri in enumerate(images):
+                if ri >= 0:
+                    yield mi, vi, ri
 
     def to_json(self):
         return {
@@ -136,7 +143,7 @@ class StructureM:
             "membership": [list(p) for p in self.membership],
             "inclusion": [list(p) for p in self.inclusion],
             "complement_pairs": [list(p) for p in self.complement_pairs],
-            "action": [list(p) for p in self.action],
+            "action": [list(p) for p in self.action_triples()],
             "sampling": self.sampling,
         }
 
@@ -170,9 +177,9 @@ def _common_zeros(rows, vectors, cols):
 
 
 # Larger ranks are refused before anything is built.  The whole `interp-M`
-# suite at its default budget, measured on a 2-core VM (Python 3.11): rank
-# 16, 1.9-2.0 s; 32, 5.8-8.5 s; 48, 21 s (peak RSS 34-43 MB); rank 96 ran
-# past 300 s.
+# suite at its default budget, seeds 1 and 2, on a 2-core VM (Python 3.11):
+# rank 16, 0.9 s and peak RSS 30-32 MB; 32, 3.3-3.6 s and 34-38 MB.  Rank
+# 48 once took 21 s and rank 96 ran past 300 s.
 MAX_STRUCTURE_RANK = 32
 
 
@@ -195,7 +202,8 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
     saturated kernel of f - I or f + I, so v is a member exactly when the
     nonzero rows of that matrix vanish on v; the rows are kept when the
     summand is first harvested.  Action: each matrix maps the whole sort
-    in one pass, and each image is looked up in the index.
+    in one pass, and keeps per matrix the index position of each image,
+    -1 outside the sort.
     """
     if n < 2:
         raise InputError("rank must be at least 2")
@@ -251,12 +259,7 @@ def build_structure_M(n: int, rng, aut_samples: int = 8, vector_samples: int = 1
                 inclusion.append((i, j))
             if i < j and relation_R(a, b):
                 complement_pairs.append((i, j))
-    action = []
-    for mi, mat in enumerate(auts):
-        for vi, out in enumerate(_images(mat, cols)):
-            ri = index.get(out)
-            if ri is not None:
-                action.append((mi, vi, ri))
+    action = [[index.get(out, -1) for out in _images(mat, cols)] for mat in auts]
     return StructureM(
         rank=n,
         vectors=vectors,

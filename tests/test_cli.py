@@ -145,6 +145,27 @@ def test_failure_and_search_exit_codes(monkeypatch, capsys):
         assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args", [["list-suites"], ["verify", "--suite", "ring-Z", "--trials", "2"]], ids=["list-suites", "verify"]
+)
+def test_closed_stdout_is_not_a_failed_property(args):
+    # the reader of the pipe is gone before the command writes; the command
+    # still returns what it would with stdout open, and prints no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilaut.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilaut", *args], env=env, stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_falsifier_miss_is_a_search_error(capsys):
     # the order-3 falsifier samples; five trials miss on a swap-class
     # matrix, which proves nothing about it

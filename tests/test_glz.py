@@ -859,6 +859,25 @@ def test_order3_falsifier_miss_inverts_nothing(monkeypatch):
     assert len(calls) == 3
 
 
+def test_order3_falsifier_miss_multiplies_no_matrices(monkeypatch):
+    # a sample is tested on row tuples, so the matrix products of a search
+    # that never hits do not grow with its budget
+    calls = []
+    real = IntMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    counts = []
+    for samples in (10, 250):
+        calls.clear()
+        assert order3_falsifier(DIAG_REP, samples, random.Random(34)) is None
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_order_three_at_det_one_is_trace_minus_one():
     # Cayley-Hamilton: a det-1 matrix with trace -1 satisfies m^2 + m + I == 0
     seen = 0

@@ -399,8 +399,9 @@ def test_falsifier_catalogue_stops_before_the_swap_side(monkeypatch):
 
 
 def test_structure_relations_name_the_failing_tuple(monkeypatch):
-    # one false action tuple appended after the true ones fails the check
-    # with that tuple as its witness; trials and certificate are unchanged
+    # one image outside the sort (-1) pointed at a wrong position instead
+    # adds one false action tuple, which fails the check with that tuple as
+    # its witness; the certificate is unchanged
     from nilaut import harness
 
     real = harness.build_structure_M
@@ -408,10 +409,11 @@ def test_structure_relations_name_the_failing_tuple(monkeypatch):
 
     def with_false_action(rank, rng):
         st = real(rank, rng)
-        image = tuple(st.automorphisms[0] @ st.vectors[0])
+        mi, vi = next((mi, vi) for mi, images in enumerate(st.action) for vi, ri in enumerate(images) if ri < 0)
+        image = st.automorphisms[mi] @ st.vectors[vi]
         ri = next(i for i, v in enumerate(st.vectors) if v != image)
-        added.append([0, 0, ri])
-        st.action.append((0, 0, ri))
+        added.append([mi, vi, ri])
+        st.action[mi][vi] = ri
         return st
 
     base = _record(run_suite(SuiteConfig("interp-M", rank=2, trials=60, seed=11)), "structure-relations")
@@ -509,3 +511,20 @@ def test_proposition_sigma_traced_peak():
         tracemalloc.stop()
     assert report.passed
     assert peak < 2_000_000
+
+
+def test_interp_m_traced_memory_peak():
+    # the action is one list of sort positions per matrix and falsifier
+    # samples are tested on row tuples.  The traced peak is 3.4-3.6 MB; one
+    # tuple per action triple and matrix products per sample raise it to
+    # 5.0-5.1 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = run_suite(SuiteConfig("interp-M", rank=3, nil_class=2, trials=250, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4_200_000

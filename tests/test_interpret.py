@@ -207,7 +207,11 @@ def test_structure_m_is_pinned(n, seed):
     assert _structure_digest(st) == STRUCTURE_DIGESTS[n, seed]
     # the vector sort has no repeats and the action lands inside it
     assert len(set(st.vectors)) == len(st.vectors)
-    assert all(st.vectors[ri] == st.automorphisms[mi] @ st.vectors[vi] for mi, vi, ri in st.action)
+    triples = list(st.action_triples())
+    assert all(st.vectors[ri] == st.automorphisms[mi] @ st.vectors[vi] for mi, vi, ri in triples)
+    # one position per (matrix, vector) pair, -1 exactly where no triple is
+    assert [len(images) for images in st.action] == [len(st.vectors)] * len(st.automorphisms)
+    assert sum(ri != -1 for images in st.action for ri in images) == len(triples)
 
 
 def test_structure_m_reads_each_eigenlattice_once(monkeypatch):
@@ -251,7 +255,7 @@ def test_structure_m_batched_relations_are_complete(n):
             if mat @ v in index
         ]
         assert st.membership == membership
-        assert st.action == action
+        assert list(st.action_triples()) == action
         assert 0 < len(membership) < len(st.vectors) * len(st.summands)
 
 
