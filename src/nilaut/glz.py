@@ -43,11 +43,11 @@ class IntMatrix:
     """Immutable integer matrix with exact arithmetic.
 
     `IntMatrix(rows)` is the constructor for outside input: it coerces every
-    entry with `int()` and refuses empty or ragged rows.  Matrices this
-    module computes from checked ones (products, sums, negations,
-    identities, inverses and random unimodular matrices) go through
-    `_trusted`, which stores its argument as the rows unchanged: it must be
-    a nonempty tuple of equal-length tuples of ints.  Such a matrix
+    entry with `int()` and refuses non-integral entries and empty or ragged
+    rows.  Matrices this module computes from checked ones (products, sums,
+    negations, identities, inverses and random unimodular matrices) go
+    through `_trusted`, which stores its argument as the rows unchanged: it
+    must be a nonempty tuple of equal-length tuples of ints.  Such a matrix
     compares and hashes equal to the checked one built from the same
     entries.  Elsewhere only `nilgroup` calls it, on its series' own ints.
     """
@@ -55,7 +55,10 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(map(tuple, rows))
+        self.rows = tuple(tuple(map(int, r)) for r in rows)
+        if self.rows != rows:
+            raise InputError("matrix entries must be integers, got %r" % (rows,))
         self.nrows = len(self.rows)
         if self.nrows == 0:
             raise InputError("matrix needs at least one row")

@@ -251,10 +251,11 @@ def _suite_group_axioms(cfg, rec):
 
     def axioms(rng, t):
         a, b, c = (random_element(ctx, rng) for _ in range(3))
+        inv = ng.invert(a)
         ok = (
             ng.multiply(ng.multiply(a, b), c) == ng.multiply(a, ng.multiply(b, c))
-            and ng.multiply(a, ng.invert(a)) == one
-            and ng.multiply(ng.invert(a), a) == one
+            and ng.multiply(a, inv) == one
+            and ng.multiply(inv, a) == one
             and ng.multiply(a, one) == a
             and ng.multiply(one, a) == a
         )
@@ -307,8 +308,9 @@ def _suite_group_axioms(cfg, rec):
 
     def projection(rng, t):
         a, b = random_element(ctx, rng), random_element(ctx, rng)
+        ab = ng.multiply(a, b)
         for m in range(1, s + 1):
-            lhs = ng.project_to_class(ng.multiply(a, b), m)
+            lhs = ng.project_to_class(ab, m)
             rhs = ng.multiply(ng.project_to_class(a, m), ng.project_to_class(b, m))
             if lhs != rhs:
                 return {"trial": t, "m": m, "a": a, "b": b}

@@ -373,7 +373,7 @@ def _check_carrier(mat: IntMatrix) -> None:
 
 
 def encode_int(m: int) -> EncodedInteger:
-    return EncodedInteger(IntMatrix([[1, 0], [int(m), 1]]))
+    return EncodedInteger(IntMatrix([[1, 0], [m, 1]]))
 
 
 def decode_int(enc: EncodedInteger) -> int:

@@ -20,10 +20,13 @@ associative ring over the X_i, truncated above degree s), which is faithful
 and keeps all arithmetic in integers, at every class.  Powers, inverses and
 the factor b_i^e of a basis element are one binomial expansion of
 (1 + u)^e, and both coordinate conversions build their ordered products
-of such factors with one routine.  `collect` multiplies the series of the
-word's letters.  An element is its series: one built from exponents
-computes it at construction, and `_from_series` is the one place a result
-becomes an element.  Coordinates are read off a result only at its first
+of such factors with one routine; it multiplies each run of consecutive
+same-weight factors while the run is still sparse, then each run into the
+running product.  A commutator of commuting elements forms no inverse.
+`collect` multiplies the series of the word's letters.  An element is its
+series: one built from exponents computes it at construction, and
+`_from_series` is the one place a result becomes an element.
+Coordinates are read off a result only at its first
 `.exponents`, so a chain of operations converts between the two formats
 only for its inputs and for what it hands out.  The read-off goes weight
 by weight through the integer inverse of the Hall polynomials' minor at
@@ -327,22 +330,30 @@ def _binomial_series(ctx, powers, e):
 
 
 def _series_comm(ctx, a, b):
+    """(ba)^-1 ab; when a and b commute that is 1 exactly, and no inverse
+    is formed."""
     ab = _series_mul(ctx, a, b)
     ba = _series_mul(ctx, b, a)
+    if ab == ba:
+        return _unit_series(ctx)
     return _series_mul(ctx, _binomial_series(ctx, _unit_powers(ctx, ba), -1), ab)
 
 
 def _ordered_product(ctx, factors):
     """The series of the ordered product of b_i^e over the (i, e) pairs.
 
+    The factors multiply in the order given.  Each run of consecutive heavy
+    factors of one weight is multiplied into one series while it is still
+    sparse, and each run then into the running product once; truncated
+    multiplication is associative, so that grouping changes no entry.
     Light basis factors (2 * weight > s) keep only b_i - 1: they have no
     surviving squares or cross terms, so their ordered product collapses to
     1 + sum of e * (b_i - 1) exactly.  They must come after every other
     factor, and only the ones before them need genuine series
     multiplications.
     """
-    out = None
-    tail = None
+    parts = []  # one series per same-weight run, then the light tail
+    run_w = tail = None
     for i, e in factors:
         if not e:
             continue
@@ -351,12 +362,20 @@ def _ordered_product(ctx, factors):
             if tail is None:
                 tail = _unit_series(ctx)
             _scatter_terms(tail, powers[0], e)
+            continue
+        f = _binomial_series(ctx, powers, e)
+        w = ctx.basis[i].weight
+        if w == run_w:
+            parts[-1] = _series_mul(ctx, parts[-1], f)
         else:
-            f = _binomial_series(ctx, powers, e)
-            out = f if out is None else _series_mul(ctx, out, f)
+            parts.append(f)
+            run_w = w
     if tail is not None:
-        out = tail if out is None else _series_mul(ctx, out, tail)
-    return out if out is not None else _unit_series(ctx)
+        parts.append(tail)
+    out = parts[0] if parts else _unit_series(ctx)
+    for part in parts[1:]:
+        out = _series_mul(ctx, out, part)
+    return out
 
 
 def _series_of_coords(ctx, exps):
@@ -482,7 +501,10 @@ def basis_element(ctx: GroupContext, index: int) -> GroupElement:
 
 
 def from_exponents(ctx: GroupContext, exps) -> GroupElement:
-    exps = tuple(int(e) for e in exps)
+    given = tuple(exps)
+    exps = tuple(map(int, given))
+    if exps != given:
+        raise InputError("exponents must be integers, got %r" % (given,))
     if len(exps) != ctx.dim:
         raise InputError(
             "expected %d exponents for %r, got %d" % (ctx.dim, ctx, len(exps))
@@ -508,8 +530,11 @@ def invert(g: GroupElement) -> GroupElement:
 
 def power(g: GroupElement, k: int) -> GroupElement:
     """k-th power for any integer k, exact and independent of |k|."""
+    e = int(k)
+    if e != k:
+        raise InputError("power exponent must be an integer, got %r" % (k,))
     ctx = g.context
-    return _from_series(ctx, _binomial_series(ctx, _unit_powers(ctx, g._series), int(k)))
+    return _from_series(ctx, _binomial_series(ctx, _unit_powers(ctx, g._series), e))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:

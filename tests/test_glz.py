@@ -160,6 +160,13 @@ def test_computed_matrices_match_nested_list_reference():
             IntMatrix.identity(n)
 
 
+def test_checked_constructor_refuses_non_integral_entries():
+    for bad in ([[1.9, 0], [0, 1]], [[1, 0], [0, 0.5]], [["1"]]):
+        with pytest.raises(InputError):
+            IntMatrix(bad)
+    assert IntMatrix([[2.0, 0], [0, True]]) == IntMatrix([[2, 0], [0, 1]])
+
+
 def test_is_identity():
     for n in range(1, 6):
         assert IntMatrix.identity(n).is_identity()

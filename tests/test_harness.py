@@ -270,6 +270,23 @@ def test_conjugation_checks_form_no_inverse(monkeypatch):
     assert calls == []
 
 
+def test_group_axioms_inverts_once_per_trial(monkeypatch):
+    # the two-sided inverse check forms a^-1 once for both products
+    from nilaut import nilgroup
+
+    calls = []
+    real = nilgroup.invert
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(nilgroup, "invert", counting)
+    report = run_suite(SuiteConfig("group-axioms", rank=3, nil_class=3, trials=5, seed=0))
+    assert report.passed
+    assert len(calls) == 5
+
+
 def test_commutator_checks_fail_for_generic_automorphisms(monkeypatch):
     # with generic automorphisms in place of the IA draws and the symmetry
     # pool, the commutators still lie in K_m, a normal subgroup, but not in

@@ -326,6 +326,13 @@ def test_ring_encoding_examples():
         )
 
 
+def test_ring_encoding_refuses_non_integral_numbers():
+    for bad in (2.5, -0.1):
+        with pytest.raises(InputError):
+            encode_int(bad)
+    assert decode_int(encode_int(3.0)) == 3 and type(decode_int(encode_int(3.0))) is int
+
+
 class EncodedIntegerBad:
     matrix = IntMatrix([[1, 1], [0, 1]])
 

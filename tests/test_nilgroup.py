@@ -226,6 +226,66 @@ def test_ordered_product_is_the_product_of_basis_powers(n, s):
         assert ng._series_of_coords(ctx, exps) == want._series
 
 
+@pytest.mark.parametrize("n,s", [(4, 4), (3, 5)])
+def test_ordered_product_keeps_the_given_factor_order(n, s):
+    # heavy factors whose weights do not ascend, then the light ones: the
+    # same-weight runs group consecutive factors and never reorder them
+    ctx = GroupContext.get(n, s)
+    rng = random.Random(760 + 10 * n + s)
+    heavy = [b.index for b in ctx.basis if 2 * b.weight <= s]
+    light = [b.index for b in ctx.basis if 2 * b.weight > s]
+    for order in (heavy[::-1], rng.sample(heavy, len(heavy))):
+        weights = [ctx.basis[i].weight for i in order]
+        assert weights != sorted(weights)
+        pairs = [(i, rng.choice((-2, -1, 1, 2, 3))) for i in order]
+        pairs += [(i, rng.randint(-3, 3)) for i in light]
+        want = ng._unit_series(ctx)
+        for i, e in pairs:
+            want = ng._series_mul(ctx, want, ng._binomial_series(ctx, ctx._bterms[i], e))
+        assert ng._ordered_product(ctx, pairs) == want
+
+
+@pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (4, 4), (3, 5), (2, 6)])
+def test_commutator_is_its_defining_product(n, s):
+    # [g, h] = g^-1 h^-1 g h on random pairs and on commuting ones: g and a
+    # power of g, a top-weight z and g, and the identity
+    ctx = GroupContext.get(n, s)
+    rng = random.Random(1100 + 10 * n + s)
+    one = identity(ctx)
+    lo, hi = ctx.weight_range(s)
+    for _ in range(3):
+        g, h = rand_elt(ctx, rng), rand_elt(ctx, rng)
+        exps = [0] * ctx.dim
+        exps[lo:hi] = [rng.randint(-3, 3) for _ in range(lo, hi)]
+        exps[rng.randrange(lo, hi)] = rng.choice((-2, -1, 1, 2))
+        z = from_exponents(ctx, exps)
+        commuting = [(g, power(g, rng.choice((-3, 2, 5)))), (z, g), (g, z), (one, g), (g, one), (one, one)]
+        for a, b in [(g, h)] + commuting:
+            assert commutator(a, b) == multiply(multiply(invert(a), invert(b)), multiply(a, b))
+        assert all(commutator(a, b) == one for a, b in commuting)
+
+
+@pytest.mark.parametrize("n,s", [(3, 3), (4, 4), (3, 5), (2, 6)])
+def test_commutator_of_commuting_elements_forms_no_inverse(n, s, monkeypatch):
+    # [z, g] with z of top weight: ab and ba agree, so the unit is returned
+    # after those two products, with no powers of ba and no inverse
+    ctx = GroupContext.get(n, s)
+    exps = [1] + [0] * (ctx.dim - 1)
+    exps[-1] = 2
+    g = from_exponents(ctx, exps)
+    z = basis_element(ctx, ctx.dim - 1)
+    calls = []
+    real = ng._series_mul
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ng, "_series_mul", counting)
+    assert commutator(z, g) == identity(ctx)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("n,s", [(2, 6), (3, 5), (4, 4), (5, 3), (10, 2)])
 def test_basis_series_are_commutators_of_their_factors(n, s):
     # set-up forms [u, v] as (u^-1 v^-1)(u v) from the factors' cached
@@ -606,6 +666,21 @@ def test_format_parse_roundtrip_random():
         for _ in range(25):
             g = rand_elt(ctx, rng)
             assert parse_element(ctx, format_element(g)) == g
+
+
+def test_non_integral_numbers_are_refused():
+    # integral values of other numeric types coerce to int; others are
+    # refused rather than truncated
+    x1 = generator(CTX22, 1)
+    for bad in ([1.5, 0, 0], [0, 0, 2.5], ["1", 0, 0]):
+        with pytest.raises(InputError):
+            from_exponents(CTX22, bad)
+    for bad in (2.7, -0.5, "2"):
+        with pytest.raises(InputError):
+            power(x1, bad)
+    g = from_exponents(CTX22, [2.0, True, 0])
+    assert g.exponents == (2, 1, 0) and all(type(e) is int for e in g.exponents)
+    assert power(x1, 3.0) == power(x1, 3)
 
 
 def test_context_validation():
